@@ -63,7 +63,6 @@ from .process import (
     kernel_names,
     path_rng,
     synthesize_path,
-    tau_phi_gaussian_numeric,
     verify_reliability,
 )
 from .quadrature import (

@@ -11,12 +11,12 @@ Subcommands: bound, select-n, simulate, verify, tables.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +34,10 @@ from .orthopoly import (
 from .process import (
     XI_MODES,
     ProcessSpec,
+    _path_chunks,
     builtin_kernel,
     compute_coefficients,
-    draw_xi,
     kernel_names,
-    path_rng,
-    synthesize_path,
     verify_reliability,
 )
 from .quadrature import rule_for_family
@@ -197,12 +195,23 @@ def _resolution(cfg: dict) -> Resolution:
     )
 
 
+@functools.cache
+def _file_mode() -> int:
+    # mkstemp creates 0600 files; outputs get the mode open() would give them.
+    # The umask can only be read by setting it, and it is process-global, so
+    # it is read once.
+    umask = os.umask(0o077)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, _file_mode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -262,31 +271,15 @@ def cmd_select_n(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _simulated_paths(cfg: dict, spec: ProcessSpec):
-    time_grid = np.linspace(0.0, spec.horizon, cfg["time_grid_points"])
-    rule = rule_for_family(spec.family, cfg["spectral_nodes"])
-    table = compute_coefficients(spec, cfg["n"], rule, time_grid)
-
-    def one_path(i: int) -> np.ndarray:
-        xi = draw_xi(
-            cfg["xi_mode"], table.n + 1, spec.tail, spec.family, path_rng(cfg["seed"], i)
-        )
-        return synthesize_path(table, xi)
-
-    count = cfg["paths"]
-    if cfg["workers"] <= 1:
-        rows = [one_path(i) for i in range(count)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            rows = list(pool.map(one_path, range(count)))
-    return time_grid, rows
-
-
 def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     """Write sample paths of the truncated model as paths.csv."""
     _require(cfg, "simulate", "n")
     spec = _process_spec(cfg, "simulate")
-    time_grid, rows = _simulated_paths(cfg, spec)
+    time_grid = np.linspace(0.0, spec.horizon, cfg["time_grid_points"])
+    rule = rule_for_family(spec.family, cfg["spectral_nodes"])
+    table = compute_coefficients(spec, cfg["n"], rule, time_grid)
+    chunks = _path_chunks(spec, (table,), cfg["paths"], cfg["seed"], cfg["xi_mode"])
+    rows = (row for (chunk,) in chunks for row in chunk)
     lines = ["path_id,t,value"]
     for i, values in enumerate(rows):
         for t, x in zip(time_grid, values):
@@ -326,7 +319,6 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         model_nodes=cfg["spectral_nodes"],
         reference_nodes=cfg["reference_spectral_nodes"],
         time_grid_points=cfg["time_grid_points"],
-        workers=cfg["workers"],
     )
     _write_json(out_dir / "report.json", report.as_json_dict())
     _write_atomic(
@@ -449,7 +441,3 @@ def main(argv=None) -> int:
     except (DomainError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,15 +8,15 @@ functions; truncated sample paths are X_N(t) = sum_k xi_k ahat_k(t).
 Verification stands the unobservable exact process in for by a
 high-truncation, high-resolution reference expansion sharing the same xi
 draws; the empirical exceedance rate of the L_p deviation over many paths is
-compared against the certified level. Every path derives its randomness from
-a counter-based stream keyed by (seed, path index), so results are bit-equal
-no matter how paths are scheduled across workers.
+compared against the certified level. Paths are produced on one thread in
+fixed chunks of _CHUNK_PATHS; every path derives its randomness from a
+counter-based stream keyed by (seed, path index), so results depend only on
+the seed and the path count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,11 +24,15 @@ import numpy as np
 
 from .bounds import tail_weights
 from .errors import DomainError, UnknownKernelError
-from .orlicz import OrliczSpec, TailBoundSpec, phi_inverse
+from .orlicz import OrliczSpec, TailBoundSpec
 from .orthopoly import PolynomialFamily, orthonormal_block
-from .quadrature import QuadratureRule, rule_for_family, simpson_weights
+from .quadrature import QuadratureRule, lp_norm, rule_for_family
 
 XI_MODES = ("unit-variance", "norm-decaying")
+
+# paths per engine chunk; a constant so that BLAS blocking, and with it every
+# output bit, depends on nothing but (seed, paths)
+_CHUNK_PATHS = 1024
 
 
 @dataclass(frozen=True)
@@ -199,11 +203,26 @@ def compute_coefficients(
 
 
 def synthesize_path(table: CoefficientTable, xi) -> np.ndarray:
-    """Sample path X_N(t_j) = sum_k xi_k ahat_k(t_j) on the table's grid."""
+    """Sample path X_N(t_j) = sum_k xi_k ahat_k(t_j) on the table's grid.
+
+    xi may also be a row-stack of coefficient vectors, one per path; the
+    result then holds one path per row.
+    """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (table.n + 1,):
-        raise DomainError(f"xi must have shape ({table.n + 1},), got {xi.shape}")
+    if xi.ndim not in (1, 2) or xi.shape[-1] != table.n + 1:
+        raise DomainError(
+            f"xi must have shape ({table.n + 1},) or (paths, {table.n + 1}), got {xi.shape}"
+        )
     return xi @ table.values
+
+
+def _xi_sigma(mode: str, count: int, tb: TailBoundSpec, family: PolynomialFamily) -> np.ndarray:
+    """Deviations sigma_0..sigma_{count-1} of the xi law in the given mode."""
+    if mode not in XI_MODES:
+        raise DomainError(f"unknown xi mode {mode!r}; expected one of {XI_MODES}")
+    if mode == "unit-variance":
+        return np.ones(count)
+    return np.minimum(1.0, tail_weights(family, tb, count - 1))
 
 
 def draw_xi(
@@ -221,14 +240,10 @@ def draw_xi(
     norm envelope the certificate assumes. The two are mutually
     inconsistent for w < 1; both are exposed deliberately.
     """
-    if mode not in XI_MODES:
-        raise DomainError(f"unknown xi mode {mode!r}; expected one of {XI_MODES}")
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
-    z = rng.standard_normal(int(count))
-    if mode == "unit-variance":
-        return z
-    return z * np.minimum(1.0, tail_weights(family, tb, int(count) - 1))
+    sigma = _xi_sigma(mode, int(count), tb, family)
+    return rng.standard_normal(int(count)) * sigma
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -239,6 +254,28 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
         raise DomainError(f"path_index must be a non-negative integer, got {path_index!r}")
     key = np.array([int(seed), int(path_index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _path_chunks(
+    spec: ProcessSpec,
+    tables: tuple[CoefficientTable, ...],
+    paths: int,
+    seed: int,
+    xi_mode: str,
+):
+    """Yield, for each chunk of _CHUNK_PATHS consecutive paths, one stack of
+    paths per table, all synthesized from the same xi draws.
+
+    Path i draws the xi vector of the largest table from path_rng(seed, i),
+    exactly as draw_xi would; smaller tables use its leading entries.
+    """
+    count = max(table.n for table in tables) + 1
+    sigma = _xi_sigma(xi_mode, count, spec.tail, spec.family)
+    for start in range(0, paths, _CHUNK_PATHS):
+        stop = min(start + _CHUNK_PATHS, paths)
+        xi = np.stack([path_rng(seed, i).standard_normal(count) for i in range(start, stop)])
+        xi *= sigma
+        yield tuple(synthesize_path(table, xi[:, : table.n + 1]) for table in tables)
 
 
 @dataclass(frozen=True)
@@ -286,34 +323,6 @@ class VerificationReport:
         )
 
 
-def _path_deviation_norms(
-    model_table: CoefficientTable,
-    reference_table: CoefficientTable,
-    spec: ProcessSpec,
-    paths: int,
-    xi_mode: str,
-    seed: int,
-    workers: int,
-) -> np.ndarray:
-    weights = simpson_weights(model_table.time_grid)
-    inv_p = 1.0 / spec.p
-
-    def one_path(i: int) -> float:
-        xi = draw_xi(xi_mode, reference_table.n + 1, spec.tail, spec.family, path_rng(seed, i))
-        diff = (xi @ reference_table.values) - (xi[: model_table.n + 1] @ model_table.values)
-        return float(np.dot(weights, np.abs(diff) ** spec.p) ** inv_p)
-
-    out = np.empty(paths)
-    if workers <= 1:
-        for i in range(paths):
-            out[i] = one_path(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, value in enumerate(pool.map(one_path, range(paths))):
-                out[i] = value
-    return out
-
-
 def verify_reliability(
     spec: ProcessSpec,
     model_n: int,
@@ -327,7 +336,6 @@ def verify_reliability(
     model_nodes: int = 256,
     reference_nodes: int = 512,
     time_grid_points: int = 257,
-    workers: int = 1,
 ) -> VerificationReport:
     """Estimate P{ L_p deviation of the truncated model > delta } by
     Monte Carlo against a high-truncation reference expansion.
@@ -336,8 +344,7 @@ def verify_reliability(
     leading entries for the truncated model, so the difference isolates the
     truncation (plus coefficient-resolution) error. reference_n defaults to
     4 * model_n + 32; passing reference_n == model_n is allowed for
-    null-difference diagnostics. Deterministic given (seed, paths): worker
-    count never changes the output.
+    null-difference diagnostics. Deterministic given (seed, paths).
     """
     if not isinstance(paths, (int, np.integer)) or paths < 1:
         raise DomainError(f"paths must be a positive integer, got {paths!r}")
@@ -345,8 +352,6 @@ def verify_reliability(
         raise DomainError(f"delta must be a finite number > 0, got {delta}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise DomainError(f"workers must be a positive integer, got {workers!r}")
     if reference_n is None:
         reference_n = 4 * int(model_n) + 32
     if reference_n < model_n:
@@ -359,10 +364,12 @@ def verify_reliability(
     reference_table = compute_coefficients(
         spec, int(reference_n), rule_for_family(spec.family, reference_nodes), time_grid
     )
-    norms = _path_deviation_norms(
-        model_table, reference_table, spec, int(paths), xi_mode, int(seed), int(workers)
-    )
-    exceedances = int(np.sum(norms > delta))
+    exceedances = 0
+    for model_paths, reference_paths in _path_chunks(
+        spec, (model_table, reference_table), int(paths), int(seed), xi_mode
+    ):
+        norms = lp_norm(reference_paths - model_paths, time_grid, spec.p)
+        exceedances += int(np.sum(norms > delta))
     return VerificationReport(
         paths=int(paths),
         exceedances=exceedances,
@@ -392,26 +399,3 @@ def dominance_fraction(
     a = np.abs(approx_table.values[:k])
     r = np.abs(reference_table.values[:k])
     return float(np.mean(a >= r))
-
-
-def tau_phi_gaussian_numeric(sigma: float, orlicz: OrliczSpec, grid_size: int = 2001) -> float:
-    """Numeric process-variable norm of a centered Gaussian from its
-    log-moment-generating function sigma^2 lam^2 / 2.
-
-    Scans sup over lam of phi_inverse(log mgf)/lam on a logarithmic grid.
-    For gamma = 2 the ratio is flat and equals sigma; for gamma > 2 the
-    supremum sits in the quadratic branch at sigma * sqrt(gamma/2). For
-    gamma < 2 the ratio grows without bound (a Gaussian is not in that
-    class), reported as inf.
-    """
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return 0.0
-    if orlicz.gamma < 2.0:
-        return math.inf
-    lam = np.logspace(-6.0, 6.0, grid_size)
-    best = 0.0
-    for x in lam:
-        best = max(best, phi_inverse(0.5 * sigma * sigma * x * x, orlicz) / x)
-    return best

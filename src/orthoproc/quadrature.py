@@ -201,21 +201,26 @@ def integrate(rule: QuadratureRule, f) -> float:
     return float(np.dot(rule.weights, values))
 
 
-def lp_norm(values_on_grid: np.ndarray, grid: np.ndarray, p: float) -> float:
+def lp_norm(values_on_grid: np.ndarray, grid: np.ndarray, p: float) -> float | np.ndarray:
     """L_p norm of grid samples over [grid[0], grid[-1]], composite Simpson.
 
+    The norm is taken along the trailing axis, so a stack of sampled
+    functions (one per row) gives an array of norms; a single 1-d sample
+    gives a float.
+
     Raises:
-        DomainError: if p < 1, the lengths differ, or the grid fails the
-            Simpson shape requirements.
+        DomainError: if p < 1, the trailing length differs from the grid's,
+            or the grid fails the Simpson shape requirements.
     """
     if not (p >= 1.0):
         raise DomainError(f"lp_norm requires p >= 1, got {p}")
     values = np.asarray(values_on_grid, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    if values.shape != grid.shape:
+    if values.shape[-1:] != grid.shape:
         raise DomainError("values and grid must have matching length")
     w = simpson_weights(grid)
-    return float(np.dot(w, np.abs(values) ** p) ** (1.0 / p))
+    norms = (np.abs(values) ** p @ w) ** (1.0 / p)
+    return float(norms) if values.ndim == 1 else norms
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11, max_depth: int = 48) -> float:

@@ -2,9 +2,16 @@
 file formats, config validation, and byte-level reproducibility."""
 
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orthoproc
+from orthoproc import cli
 from orthoproc.cli import main
 
 BASE = {
@@ -158,6 +165,39 @@ def test_verify_reproducible_across_workers(tmp_path):
     report = json.loads(a_json)
     assert report["paths"] == 200
     assert report["empirical_prob"] <= 0.05
+
+
+def test_output_files_honour_umask(tmp_path):
+    cfg = write_cfg(tmp_path, n=1, paths=3, time_grid_points=9)
+    umask = 0o022
+    previous = os.umask(umask)
+    cli._file_mode.cache_clear()
+    try:
+        _, sim = run(tmp_path, "simulate", cfg, sub="s")
+        _, ver = run(tmp_path, "verify", cfg, sub="v")
+    finally:
+        os.umask(previous)
+        cli._file_mode.cache_clear()
+    for path in (ver / "report.json", sim / "paths.csv"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_python_m_orthoproc_runs_without_warnings(tmp_path):
+    cfg = write_cfg(tmp_path)
+    src = str(Path(orthoproc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "orthoproc", "tables", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert (tmp_path / "out" / "tables.csv").is_file()
 
 
 def test_verify_selects_n_when_absent(tmp_path):

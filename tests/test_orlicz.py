@@ -87,6 +87,26 @@ def test_tau_phi_gaussian():
         tau_phi_gaussian(-1.0, OrliczSpec(2.0))
 
 
+def tau_phi_gaussian_numeric(sigma, orlicz):
+    """Numeric process-variable norm of a centered Gaussian from its
+    log-moment-generating function sigma^2 lam^2 / 2: the supremum over lam
+    of phi_inverse(log mgf) / lam, scanned on a logarithmic grid."""
+    lam = np.logspace(-6.0, 6.0, 2001)
+    return max(phi_inverse(0.5 * sigma * sigma * x * x, orlicz) / x for x in lam)
+
+
+def test_tau_phi_gaussian_numeric_oracle():
+    for sigma in (0.3, 0.7, 2.5):
+        assert tau_phi_gaussian(sigma, OrliczSpec(2.0)) == pytest.approx(
+            tau_phi_gaussian_numeric(sigma, OrliczSpec(2.0)), rel=1e-12
+        )
+    # gamma > 2: the supremum sits on the quadratic branch at sigma sqrt(gamma/2)
+    for sigma, gamma in ((1.0, 3.0), (0.7, 4.0)):
+        assert tau_phi_gaussian_numeric(sigma, OrliczSpec(gamma)) == pytest.approx(
+            sigma * math.sqrt(gamma / 2.0), rel=1e-6
+        )
+
+
 def test_spec_validation():
     for gamma in (1.0, 0.5, -2.0, math.inf, math.nan):
         with pytest.raises(DomainError):

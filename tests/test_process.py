@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from orthoproc import (
+    XI_MODES,
     CoefficientTable,
     DomainError,
     OrliczSpec,
@@ -22,15 +23,18 @@ from orthoproc import (
     kernel_names,
     laguerre,
     legendre,
+    lp_norm,
     path_rng,
     rule_for_family,
     semi_infinite_rule,
     synthesize_path,
     tail_weights,
-    tau_phi_gaussian_numeric,
     verify_reliability,
 )
+from orthoproc.cli import main
+from orthoproc.process import _CHUNK_PATHS, _path_chunks
 
+EPS = np.finfo(float).eps
 TB = TailBoundSpec(1.0, 0.5)
 
 
@@ -209,13 +213,66 @@ def test_verify_reliability_trivial_cases():
     assert null.exceedances == 0
 
 
-def test_verify_reliability_deterministic_across_workers():
+def _dot_error(xi, table):
+    # a K-term dot product is off by at most K eps sum_k |xi_k a_k(t)|; the
+    # chunked engine and the per-path loop each make that error
+    return 2.0 * xi.shape[-1] * EPS * (np.abs(xi) @ np.abs(table.values))
+
+
+def _check_engine_against_loop(out_dir, xi_mode):
     spec = legendre_spec()
-    kw = dict(paths=400, seed=123, xi_mode="norm-decaying")
-    one = verify_reliability(spec, 1, 0.1, 0.05, workers=1, **kw)
-    many = verify_reliability(spec, 1, 0.1, 0.05, workers=3, **kw)
-    rerun = verify_reliability(spec, 1, 0.1, 0.05, workers=1, **kw)
-    assert one == many == rerun
+    paths, seed = 2 * _CHUNK_PATHS + 3, 321
+    grid = np.linspace(0.0, 1.0, 257)
+    model = compute_coefficients(spec, 1, 256, grid)
+    reference = compute_coefficients(spec, 36, 512, grid)
+
+    # verify norms: the per-path loop the engine replaced
+    ref_norms, tol = np.empty(paths), np.empty(paths)
+    for i in range(paths):
+        xi = draw_xi(xi_mode, reference.n + 1, TB, spec.family, path_rng(seed, i))
+        diff = synthesize_path(reference, xi) - synthesize_path(model, xi[:2])
+        ref_norms[i] = lp_norm(diff, grid, spec.p)
+        bound = _dot_error(xi, reference) + _dot_error(xi[:2], model) + 2.0 * EPS * np.abs(diff)
+        # the power, the Simpson sum over G points and the root add at most
+        # (G + 4) eps relative on each side
+        tol[i] = lp_norm(bound, grid, spec.p) + 2.0 * (grid.size + 4) * EPS * ref_norms[i]
+    chunks = list(_path_chunks(spec, (model, reference), paths, seed, xi_mode))
+    assert [len(m) for m, _ in chunks] == [_CHUNK_PATHS, _CHUNK_PATHS, 3]
+    norms = np.concatenate([lp_norm(r - m, grid, spec.p) for m, r in chunks])
+    assert np.all(np.abs(norms - ref_norms) <= tol)
+
+    delta = float(np.median(ref_norms))
+    near = np.abs(ref_norms - delta) <= 1e-9 * delta
+    np.testing.assert_array_equal((norms > delta)[~near], (ref_norms > delta)[~near])
+    report = verify_reliability(spec, 1, delta, 0.5, paths=paths, seed=seed, xi_mode=xi_mode)
+    assert abs(report.exceedances - int(np.sum(ref_norms > delta))) <= int(np.sum(near))
+    assert report == verify_reliability(
+        spec, 1, delta, 0.5, paths=paths, seed=seed, xi_mode=xi_mode
+    )
+
+    # simulate rows, through the CLI and its %.17g output
+    cfg = out_dir / "cfg.json"
+    cfg.write_text(
+        '{"family": "legendre", "kernel": "exp-bounded", "horizon": 1.0, "tau": 1.0, '
+        f'"n": 2, "paths": {paths}, "seed": {seed}, "xi_mode": "{xi_mode}", '
+        '"time_grid_points": 33}'
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    csv = np.loadtxt(out_dir / "paths.csv", delimiter=",", skiprows=1).reshape(paths, 33, 3)
+    table = compute_coefficients(spec, 2, 256, np.linspace(0.0, 1.0, 33))
+    np.testing.assert_array_equal(csv[:, :, 0], np.repeat(np.arange(paths)[:, None], 33, axis=1))
+    np.testing.assert_array_equal(csv[:, :, 1], np.tile(table.time_grid, (paths, 1)))
+    for i in range(paths):
+        xi = draw_xi(xi_mode, 3, TB, spec.family, path_rng(seed, i))
+        assert np.all(np.abs(csv[i, :, 2] - synthesize_path(table, xi)) <= _dot_error(xi, table))
+
+
+def test_path_engine_matches_per_path_reference(tmp_path):
+    # three chunks, the last one partial, in both xi modes
+    for xi_mode in XI_MODES:
+        out_dir = tmp_path / xi_mode
+        out_dir.mkdir()
+        _check_engine_against_loop(out_dir, xi_mode)
 
 
 def test_verify_reliability_validation():
@@ -268,13 +325,3 @@ def test_compute_coefficients_int_shorthand():
     a = compute_coefficients(spec, 3, 64, grid)
     b = compute_coefficients(spec, 3, rule_for_family(spec.family, 64), grid)
     np.testing.assert_array_equal(a.values, b.values)
-
-
-def test_tau_phi_gaussian_numeric():
-    assert tau_phi_gaussian_numeric(0.7, OrliczSpec(2.0)) == pytest.approx(0.7, rel=1e-12)
-    # gamma > 2: supremum sits on the quadratic branch at sigma sqrt(gamma/2)
-    assert tau_phi_gaussian_numeric(1.0, OrliczSpec(3.0)) == pytest.approx(
-        math.sqrt(1.5), rel=1e-6
-    )
-    assert tau_phi_gaussian_numeric(1.0, OrliczSpec(1.5)) == math.inf
-    assert tau_phi_gaussian_numeric(0.0, OrliczSpec(2.0)) == 0.0

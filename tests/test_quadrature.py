@@ -108,6 +108,9 @@ def test_simpson_weights_shape_errors():
 def test_lp_norm_constant():
     grid = np.linspace(0.0, 2.0, 9)
     assert lp_norm(np.ones(9), grid, 3.0) == pytest.approx(2.0 ** (1 / 3), rel=1e-14)
+    # a row-stack gives one norm per row
+    stacked = lp_norm(np.array([np.ones(9), 2.0 * np.ones(9)]), grid, 3.0)
+    np.testing.assert_allclose(stacked, [2.0 ** (1 / 3), 2.0 ** (4 / 3)], rtol=1e-14)
 
 
 def test_lp_norm_linear():
@@ -122,6 +125,8 @@ def test_lp_norm_validation():
         lp_norm(np.ones(5), grid, 0.5)
     with pytest.raises(DomainError):
         lp_norm(np.ones(4), grid, 2.0)
+    with pytest.raises(DomainError):
+        lp_norm(np.ones((3, 4)), grid, 2.0)
 
 
 def test_adaptive_simpson():
