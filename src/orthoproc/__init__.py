@@ -8,9 +8,11 @@ verifies the certificate by deterministic Monte Carlo.
 
 from .bounds import (
     BoundReport,
+    CNCurve,
     Resolution,
     SelectionResult,
     c_n_bound,
+    c_n_curve,
     check_conditions,
     gf_square_integral,
     gf_square_integral_oracle,

@@ -15,7 +15,9 @@ Orlicz layer.
 
 The subtracted partial sum is signed, not absolute: the clamp at zero keeps
 the bound valid when cancellation drives the bracket negative, and
-clamped_fraction reports how often that happened.
+clamped_fraction reports how often that happened. It is also a prefix sum
+over k, so c_n_curve gets C_0..C_N for every order from one coefficient
+table; c_n_bound and select_N both read that curve.
 """
 
 from __future__ import annotations
@@ -178,12 +180,25 @@ def tail_norm_bound(
     """
     if kernel_energy_at_t < 0.0:
         raise DomainError(f"kernel energy must be >= 0, got {kernel_energy_at_t}")
-    coeffs = np.asarray(approx_coeffs, dtype=float)
-    budget = tb.tau * math.sqrt(kernel_energy_at_t) * math.sqrt(gf_square_integral(family, tb.w))
-    spent = 0.0
-    if coeffs.size:
-        spent = float(np.dot(tail_weights(family, tb, coeffs.size - 1), coeffs))
-    return max(0.0, budget - spent)
+    coeffs = np.asarray(approx_coeffs, dtype=float).reshape(-1, 1)
+    if coeffs.size == 0:  # an empty retained sum is one zero coefficient
+        coeffs = np.zeros((1, 1))
+    weights = tail_weights(family, tb, coeffs.shape[0] - 1)
+    brackets = _brackets(tb, gf_square_integral(family, tb.w), kernel_energy_at_t, weights, coeffs)
+    return max(0.0, float(brackets[-1, 0]))
+
+
+def _brackets(
+    tb: TailBoundSpec, gf_value: float, energy, weights: np.ndarray, coeffs: np.ndarray
+) -> np.ndarray:
+    """Signed tail brackets of every retained order in one pass.
+
+    Row n is tau sqrt(E) sqrt(I(w)) - sum_{k<=n} weights[k] coeffs[k]: the
+    retained sum is a prefix sum over k, so one cumsum along the order axis
+    of a (k, t) coefficient table gives every order at once.
+    """
+    budget = tb.tau * np.sqrt(energy) * math.sqrt(gf_value)
+    return budget - np.cumsum(weights[:, np.newaxis] * coeffs, axis=0)
 
 
 @dataclass(frozen=True)
@@ -236,34 +251,70 @@ class BoundReport:
         return ",".join(cells)
 
 
-def c_n_bound(
+@dataclass(frozen=True)
+class CNCurve:
+    """C_N for every order N = 0..n_max, with the shared gate thresholds.
+
+    curve[n] is the BoundReport of order n.
+    """
+
+    family: PolynomialFamily
+    c_n: np.ndarray
+    clamped_fraction: np.ndarray
+    threshold_rel: float
+    threshold_acc: float
+    gf_integral_value: float
+    gf_integral_oracle: float
+
+    def __len__(self) -> int:
+        return self.c_n.size
+
+    def __getitem__(self, n: int) -> BoundReport:
+        n = range(len(self))[n]
+        c_n = float(self.c_n[n])
+        return BoundReport(
+            family=self.family,
+            n=n,
+            c_n=c_n,
+            threshold_rel=self.threshold_rel,
+            threshold_acc=self.threshold_acc,
+            pass_rel=bool(c_n <= self.threshold_rel),
+            pass_acc=bool(c_n < self.threshold_acc),
+            clamped_fraction=float(self.clamped_fraction[n]),
+            gf_integral_value=self.gf_integral_value,
+            gf_integral_oracle=self.gf_integral_oracle,
+        )
+
+
+def c_n_curve(
     spec: "ProcessSpec",
-    n: int,
+    n_max: int,
     delta: float,
     alpha: float,
     *,
     resolution: Resolution = Resolution(),
     tail_weight_override: np.ndarray | None = None,
-) -> BoundReport:
-    """Evaluate the truncation-error constant C_N and its gate thresholds.
+) -> CNCurve:
+    """Evaluate C_0..C_{n_max} and the gate thresholds from one coefficient table.
 
-    Computes the model coefficients on the time grid, forms the clamped
-    pointwise bound, raises it to spec.p, and integrates over [0, T] by
-    composite Simpson (C_N is the integral itself, not its p-th root; the
-    thresholds carry the matching power scaling). The closed-form
-    generating-function integral is cross-checked against direct quadrature
-    and the run is rejected if they disagree beyond 1e-6 relative.
+    Computes the model coefficients of orders 0..n_max on the time grid,
+    forms the clamped pointwise bound of every order by one prefix sum,
+    raises it to spec.p, and integrates over [0, T] by composite Simpson
+    (C_N is the integral itself, not its p-th root; the thresholds carry the
+    matching power scaling). The closed-form generating-function integral
+    is cross-checked against direct quadrature on every call and the run is
+    rejected if they disagree beyond 1e-6 relative.
 
     tail_weight_override replaces the family's own tau_bound vector
-    (length n+1) in the subtracted sum; the budget term keeps the family's
-    gf integral. Used to compare two families on identical coefficient
-    envelopes.
+    (length n_max+1) in the subtracted sum; the budget term keeps the
+    family's gf integral. Used to compare two families on identical
+    coefficient envelopes.
 
     Raises:
         ConvergenceError: if the gf closed form fails its oracle check.
-        DomainError: on invalid n, delta, alpha, or override shape.
+        DomainError: on invalid n_max, delta, alpha, or override shape.
     """
-    n = _check_order(n, "N")
+    n_max = _check_order(n_max, "n_max")
     family = spec.family
     tb = spec.tail
     thr_rel = threshold_reliability(delta, alpha, spec.orlicz, spec.p)
@@ -278,38 +329,56 @@ def c_n_bound(
         )
 
     if tail_weight_override is None:
-        tw = tail_weights(family, tb, n)
+        tw = tail_weights(family, tb, n_max)
     else:
         tw = np.asarray(tail_weight_override, dtype=float)
-        if tw.shape != (n + 1,):
-            raise DomainError(f"tail_weight_override must have shape ({n + 1},), got {tw.shape}")
+        if tw.shape != (n_max + 1,):
+            raise DomainError(
+                f"tail_weight_override must have shape ({n_max + 1},), got {tw.shape}"
+            )
 
     # deferred import: process builds on this module's tail weights
     from .process import compute_coefficients
 
     time_grid = np.linspace(0.0, spec.horizon, resolution.time_grid_points)
     rule = rule_for_family(family, resolution.spectral_nodes)
-    table = compute_coefficients(spec, n, rule, time_grid)
+    table = compute_coefficients(spec, n_max, rule, time_grid)
+    brackets = _brackets(tb, gf_value, spec.kernel.energy_at(time_grid), tw, table.values)
 
-    energy = spec.kernel.energy_at(time_grid)
-    budget = tb.tau * np.sqrt(energy) * math.sqrt(gf_value)
-    bracket = budget - tw @ table.values
-    clamped = float(np.mean(bracket < 0.0))
-    envelope = np.maximum(bracket, 0.0)
-    c_n = float(np.dot(simpson_weights(time_grid), envelope**spec.p))
-
-    return BoundReport(
+    return CNCurve(
         family=family,
-        n=n,
-        c_n=c_n,
+        c_n=np.maximum(brackets, 0.0) ** spec.p @ simpson_weights(time_grid),
+        clamped_fraction=np.mean(brackets < 0.0, axis=1),
         threshold_rel=thr_rel,
         threshold_acc=thr_acc,
-        pass_rel=bool(c_n <= thr_rel),
-        pass_acc=bool(c_n < thr_acc),
-        clamped_fraction=clamped,
         gf_integral_value=gf_value,
         gf_integral_oracle=gf_oracle,
     )
+
+
+def c_n_bound(
+    spec: "ProcessSpec",
+    n: int,
+    delta: float,
+    alpha: float,
+    *,
+    resolution: Resolution = Resolution(),
+    tail_weight_override: np.ndarray | None = None,
+) -> BoundReport:
+    """Evaluate the truncation-error constant C_N and its gate thresholds.
+
+    The last order of c_n_curve(spec, n, ...); see there for the method and
+    for tail_weight_override (length n+1 here).
+
+    Raises:
+        ConvergenceError: if the gf closed form fails its oracle check.
+        DomainError: on invalid n, delta, alpha, or override shape.
+    """
+    n = _check_order(n, "N")
+    curve = c_n_curve(
+        spec, n, delta, alpha, resolution=resolution, tail_weight_override=tail_weight_override
+    )
+    return curve[n]
 
 
 def check_conditions(report: BoundReport) -> bool:
@@ -341,16 +410,19 @@ def select_N(
 ) -> SelectionResult:
     """Smallest truncation order in [0, n_max] meeting both gate conditions.
 
-    Linear scan from 0: C_N is not provably monotone in N (retained
-    coefficients enter the bracket with a minus sign), so no bisection.
+    One c_n_curve evaluation gives C_0..C_{n_max}; the result is the first
+    passing order. C_N is not assumed monotone in N (retained coefficients
+    enter the bracket with a minus sign), so no order is skipped; best_n is
+    the first argmin of C_N up to the selected order, or over all orders
+    when none passes.
     """
     n_max = _check_order(n_max, "n_max")
-    best_n = 0
-    best_c_n = math.inf
-    for n in range(n_max + 1):
-        report = c_n_bound(spec, n, delta, alpha, resolution=resolution)
-        if report.c_n < best_c_n:
-            best_n, best_c_n = n, report.c_n
-        if check_conditions(report):
-            return SelectionResult(n, report, best_n, best_c_n)
+    curve = c_n_curve(spec, n_max, delta, alpha, resolution=resolution)
+    c_n = curve.c_n
+    passing = np.flatnonzero((c_n <= curve.threshold_rel) & (c_n < curve.threshold_acc))
+    stop = int(passing[0]) if passing.size else n_max
+    best_n = int(np.argmin(c_n[: stop + 1]))
+    best_c_n = float(c_n[best_n])
+    if passing.size:
+        return SelectionResult(stop, curve[stop], best_n, best_c_n)
     return SelectionResult(None, None, best_n, best_c_n)

@@ -21,17 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundReport, Resolution, c_n_bound, check_conditions, select_N
-from .errors import ConfigError, DomainError
-from .orlicz import OrliczSpec, TailBoundSpec
-from .orthopoly import (
+from ..bounds import BoundReport, Resolution, c_n_bound, check_conditions, select_N
+from ..errors import ConfigError, DomainError
+from ..orlicz import OrliczSpec, TailBoundSpec
+from ..orthopoly import (
     PolynomialFamily,
     eval_orthonormal,
     eval_poly,
     generating_function,
     partial_gf_sum,
 )
-from .process import (
+from ..process import (
     XI_MODES,
     ProcessSpec,
     _path_chunks,
@@ -40,7 +40,7 @@ from .process import (
     kernel_names,
     verify_reliability,
 )
-from .quadrature import rule_for_family
+from ..quadrature import rule_for_family
 
 DEFAULT_SEED = 123456789
 

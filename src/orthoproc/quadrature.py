@@ -14,6 +14,7 @@ composite Simpson weights on uniform odd grids.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,7 +68,14 @@ def _check_node_count(n: int) -> None:
         raise DomainError(f"node count must be an integer in [1, {MAX_NODES}], got {n!r}")
 
 
+@functools.lru_cache(maxsize=16)
 def _gauss_legendre_raw(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted Gauss-Legendre nodes and weights, one Newton solve per n.
+
+    Cached per process (16 entries of at most 64 KB), so the spectral and
+    oracle rules of a C_N evaluation share one solve; the arrays are
+    read-only because every caller gets the same pair.
+    """
     k = np.arange(n, dtype=float)
     x = np.cos(math.pi * (k + 0.75) / (n + 0.5))
     for _ in range(_NEWTON_MAX_ITER):
@@ -83,21 +91,23 @@ def _gauss_legendre_raw(n: int) -> tuple[np.ndarray, np.ndarray]:
     dpn = n * (x * pn - pnm1) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dpn * dpn)
     order = np.argsort(x)
-    return x[order], w[order]
+    x, w = x[order], w[order]
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def gauss_legendre_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [-1, 1], exact through degree 2n - 1.
 
     Nodes are the Legendre roots found by Newton iteration from the
-    asymptotic cosine initial guesses, refined to 1e-14.
+    asymptotic cosine initial guesses, refined to 1e-14. The solve is
+    cached per n, and the rule's arrays are shared and read-only.
 
     Raises:
         DomainError: if n is outside [1, MAX_NODES].
     """
     _check_node_count(n)
-    if n == 1:
-        return QuadratureRule("gauss-legendre", np.array([0.0]), np.array([2.0]))
     x, w = _gauss_legendre_raw(n)
     return QuadratureRule("gauss-legendre", x, w)
 
@@ -126,7 +136,7 @@ def semi_infinite_rule(n: int, singularity_power: float = 0.0) -> QuadratureRule
     """
     _check_node_count(n)
     m = _power_map_order(singularity_power)
-    x, w = _gauss_legendre_raw(n) if n > 1 else (np.array([0.0]), np.array([2.0]))
+    x, w = _gauss_legendre_raw(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     q = u / (1.0 - u)
@@ -148,7 +158,7 @@ def cosine_mapped_rule(n: int) -> QuadratureRule:
     Gegenbauer weights) converge at high order where the plain rule stalls.
     """
     _check_node_count(n)
-    x, w = _gauss_legendre_raw(n) if n > 1 else (np.array([0.0]), np.array([2.0]))
+    x, w = _gauss_legendre_raw(n)
     theta = 0.5 * (x + 1.0) * math.pi
     t = np.cos(theta)
     wt = 0.5 * math.pi * w * np.sin(theta)

@@ -19,6 +19,7 @@ from orthoproc import (
     TailBoundSpec,
     builtin_kernel,
     c_n_bound,
+    c_n_curve,
     check_conditions,
     gegenbauer,
     gegenbauer_norm_squared,
@@ -27,6 +28,7 @@ from orthoproc import (
     laguerre,
     legendre,
     select_N,
+    simpson_weights,
     tail_norm_bound,
     tail_weights,
     tau_bound,
@@ -164,6 +166,26 @@ def test_tail_norm_bound_subtracts_weighted_sum():
     assert got == pytest.approx(budget - spent, rel=1e-12)
 
 
+def test_tail_norm_bound_matches_direct_sum():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        coeffs=st.lists(st.floats(-10.0, 10.0), max_size=12),
+        energy=st.floats(0.0, 4.0),
+        w=st.floats(0.05, 0.95),
+    )
+    def check(coeffs, energy, w):
+        tb = TailBoundSpec(1.3, w)
+        budget = 1.3 * math.sqrt(energy) * math.sqrt(gf_square_integral(legendre(), w))
+        spent = sum(tau_bound(legendre(), tb, k) * c for k, c in enumerate(coeffs))
+        got = tail_norm_bound(legendre(), tb, energy, coeffs)
+        assert got == pytest.approx(max(0.0, budget - spent), rel=1e-12, abs=1e-12)
+
+    check()
+
+
 def test_c_n_regression_frozen():
     spec = make_spec("exp-bounded", legendre())
     assert c_n_bound(spec, 4, 0.1, 0.05).c_n == pytest.approx(
@@ -287,6 +309,88 @@ def test_select_n_not_found():
     assert result.report is None
     assert result.best_n == 0
     assert result.best_c_n > 0.0
+
+
+CURVE_FIXTURES = (
+    ("exp-bounded", legendre()),
+    ("exp-decay", laguerre(0.5)),
+    ("exp-bounded", gegenbauer(1.5)),
+)
+
+
+@pytest.mark.parametrize("w", (0.3, 0.5, 0.8))
+@pytest.mark.parametrize("kernel_name,family", CURVE_FIXTURES)
+def test_c_n_curve_matches_per_order_bound(kernel_name, family, w):
+    # the curve's prefix sums run on a taller table than each order's own
+    # call, so BLAS blocking moves ulps; measured <= 7e-15 relative
+    spec = make_spec(kernel_name, family, tb=TailBoundSpec(1.0, w))
+    curve = c_n_curve(spec, 32, 0.1, 0.05)
+    assert len(curve) == 33
+    for n in range(33):
+        report = c_n_bound(spec, n, 0.1, 0.05)
+        assert curve.c_n[n] == pytest.approx(report.c_n, rel=1e-12, abs=0.0)
+        from_curve = curve[n]
+        assert from_curve.n == n
+        assert (from_curve.threshold_rel, from_curve.threshold_acc) == (
+            report.threshold_rel,
+            report.threshold_acc,
+        )
+        assert (from_curve.gf_integral_value, from_curve.gf_integral_oracle) == (
+            report.gf_integral_value,
+            report.gf_integral_oracle,
+        )
+    assert curve[-1].n == 32
+    with pytest.raises(IndexError):
+        curve[33]
+
+
+def brute_force_select(spec, delta, alpha, n_max):
+    """The per-order scan select_N replaced: one c_n_bound call per order."""
+    best_n, best_c_n = 0, math.inf
+    for n in range(n_max + 1):
+        report = c_n_bound(spec, n, delta, alpha)
+        if report.c_n < best_c_n:
+            best_n, best_c_n = n, report.c_n
+        if check_conditions(report):
+            return n, best_n, best_c_n
+    return None, best_n, best_c_n
+
+
+@pytest.mark.parametrize(
+    "kernel_name,family,delta,n_max",
+    (
+        ("exp-bounded", legendre(), 0.018, 8),
+        ("exp-decay", laguerre(0.0), 0.01, 8),
+        ("poly-bounded", gegenbauer(1.0), 3.3, 8),
+        ("exp-bounded", legendre(), 1e-9, 32),
+    ),
+)
+def test_select_n_matches_brute_force_scan(kernel_name, family, delta, n_max):
+    spec = make_spec(kernel_name, family)
+    result = select_N(spec, delta, 0.05, n_max)
+    selected, best_n, best_c_n = brute_force_select(spec, delta, 0.05, n_max)
+    assert result.selected_n == selected
+    assert result.best_n == best_n
+    assert result.best_c_n == pytest.approx(best_c_n, rel=1e-12, abs=0.0)
+    if selected is None:
+        assert result.report is None
+    else:
+        assert result.report.n == selected and check_conditions(result.report)
+
+
+def test_tail_weight_override_through_c_n_bound():
+    spec = make_spec("exp-bounded", legendre())
+    own = c_n_bound(spec, 3, 0.1, 0.05)
+    same = c_n_bound(spec, 3, 0.1, 0.05, tail_weight_override=tail_weights(legendre(), TB, 3))
+    assert same.c_n == own.c_n
+    # zero weights leave the budget alone: C_N = tau^2 I(w) int E dt at p = 2
+    zero = c_n_bound(spec, 3, 0.1, 0.05, tail_weight_override=np.zeros(4))
+    grid = np.linspace(0.0, 1.0, 257)
+    budget_only = TB.tau**2 * gf_square_integral(legendre(), TB.w) * (
+        simpson_weights(grid) @ spec.kernel.energy_at(grid)
+    )
+    assert zero.c_n == pytest.approx(budget_only, rel=1e-13)
+    assert zero.c_n > own.c_n and zero.clamped_fraction == 0.0
 
 
 def test_tail_weight_override_shape_guard():

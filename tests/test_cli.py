@@ -182,13 +182,13 @@ def test_output_files_honour_umask(tmp_path):
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
-def test_python_m_orthoproc_runs_without_warnings(tmp_path):
+def _run_module_without_warnings(tmp_path, module):
     cfg = write_cfg(tmp_path)
     src = str(Path(orthoproc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "orthoproc", "tables", "--config", cfg,
+        [sys.executable, "-W", "error", "-m", module, "tables", "--config", cfg,
          "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
@@ -198,6 +198,16 @@ def test_python_m_orthoproc_runs_without_warnings(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert (tmp_path / "out" / "tables.csv").is_file()
+
+
+def test_python_m_orthoproc_runs_without_warnings(tmp_path):
+    _run_module_without_warnings(tmp_path, "orthoproc")
+
+
+def test_python_m_orthoproc_cli_runs_without_warnings(tmp_path):
+    # runpy warns when the module it runs was already imported by its
+    # package's __init__, unless that module is itself a package
+    _run_module_without_warnings(tmp_path, "orthoproc.cli")
 
 
 def test_verify_selects_n_when_absent(tmp_path):

@@ -8,8 +8,13 @@ import pytest
 from orthoproc import (
     ConvergenceError,
     DomainError,
+    OrliczSpec,
+    ProcessSpec,
     QuadratureRule,
+    Resolution,
+    TailBoundSpec,
     adaptive_simpson,
+    builtin_kernel,
     cosine_mapped_rule,
     gauss_legendre_rule,
     gegenbauer,
@@ -18,10 +23,12 @@ from orthoproc import (
     legendre,
     lp_norm,
     rule_for_family,
+    select_N,
     semi_infinite_rule,
     simpson_rule,
     simpson_weights,
 )
+from orthoproc import quadrature
 
 
 def test_two_point_rule_is_exact():
@@ -49,6 +56,55 @@ def test_against_numpy_leggauss():
         x, w = np.polynomial.legendre.leggauss(n)
         np.testing.assert_allclose(rule.nodes, x, atol=2e-15)
         np.testing.assert_allclose(rule.weights, w, atol=2e-15)
+
+
+@pytest.mark.parametrize("n", (2, 17, 256, 512))
+def test_against_scipy_roots_legendre(n):
+    special = pytest.importorskip("scipy.special")
+    x, w = special.roots_legendre(n)
+    rule = gauss_legendre_rule(n)
+    np.testing.assert_allclose(rule.nodes, x, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(rule.weights, w, rtol=0.0, atol=1e-13)
+
+
+def test_cached_rule_arrays_are_read_only():
+    rule = gauss_legendre_rule(12)
+    assert gauss_legendre_rule(12).nodes is rule.nodes
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 1.0
+
+
+def test_select_n_reuses_the_newton_solve(monkeypatch):
+    # Newton's only polynomial evaluation is legendre_pair, so counting its
+    # calls from quadrature counts solves
+    calls = []
+    original = quadrature.legendre_pair
+
+    def counting(n, x):
+        calls.append(n)
+        return original(n, x)
+
+    monkeypatch.setattr(quadrature, "legendre_pair", counting)
+    quadrature._gauss_legendre_raw.cache_clear()
+    spec = ProcessSpec(
+        kernel=builtin_kernel("exp-decay"),
+        family=laguerre(0.5),
+        horizon=1.0,
+        p=2.0,
+        orlicz=OrliczSpec(2.0),
+        tail=TailBoundSpec(1.0, 0.5),
+    )
+    res = Resolution(spectral_nodes=96, oracle_nodes=96)
+    first = select_N(spec, 1e-9, 0.05, 6, resolution=res)
+    # the spectral rule and the gf-oracle rule map one shared solve
+    assert calls and set(calls) == {96}
+    assert quadrature._gauss_legendre_raw.cache_info().misses == 1
+    calls.clear()
+    second = select_N(spec, 1e-9, 0.05, 6, resolution=res)
+    assert calls == []
+    assert (second.best_n, second.best_c_n) == (first.best_n, first.best_c_n)
 
 
 def test_semi_infinite_exponential_moments():
