@@ -60,7 +60,6 @@ from .process import (
     VerificationReport,
     builtin_kernel,
     compute_coefficients,
-    dominance_fraction,
     draw_xi,
     kernel_names,
     path_rng,

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -205,12 +206,16 @@ def _file_mode() -> int:
     return 0o666 & ~umask
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, content: str | Iterable[str]) -> None:
+    """Write a string, or string parts as an iterable yields them, to path;
+    the file appears complete or not at all."""
+    if isinstance(content, str):
+        content = (content,)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(content)
         os.chmod(tmp, _file_mode())
         os.replace(tmp, path)
     except BaseException:
@@ -278,13 +283,21 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     time_grid = np.linspace(0.0, spec.horizon, cfg["time_grid_points"])
     rule = rule_for_family(spec.family, cfg["spectral_nodes"])
     table = compute_coefficients(spec, cfg["n"], rule, time_grid)
-    chunks = _path_chunks(spec, (table,), cfg["paths"], cfg["seed"], cfg["xi_mode"])
-    rows = (row for (chunk,) in chunks for row in chunk)
-    lines = ["path_id,t,value"]
-    for i, values in enumerate(rows):
-        for t, x in zip(time_grid, values):
-            lines.append(f"{i},{format(t, '.17g')},{format(x, '.17g')}")
-    _write_atomic(out_dir / "paths.csv", "\n".join(lines) + "\n")
+    # one line per grid point: {0} is the path id, {j} the j-th value
+    template = "".join(
+        f"{{0}},{format(t, '.17g')},{{{j}:.17g}}\n" for j, t in enumerate(time_grid, 1)
+    )
+
+    def parts():
+        yield "path_id,t,value\n"
+        start = 0
+        for (chunk,) in _path_chunks(spec, (table,), cfg["paths"], cfg["seed"], cfg["xi_mode"]):
+            yield "".join(
+                template.format(i, *values) for i, values in enumerate(chunk.tolist(), start)
+            )
+            start += len(chunk)
+
+    _write_atomic(out_dir / "paths.csv", parts())
     return 0
 
 

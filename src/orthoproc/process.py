@@ -9,9 +9,10 @@ Verification stands the unobservable exact process in for by a
 high-truncation, high-resolution reference expansion sharing the same xi
 draws; the empirical exceedance rate of the L_p deviation over many paths is
 compared against the certified level. Paths are produced on one thread in
-fixed chunks of _CHUNK_PATHS; every path derives its randomness from a
-counter-based stream keyed by (seed, path index), so results depend only on
-the seed and the path count.
+fixed chunks of _CHUNK_PATHS. Path i's randomness is the counter-based
+Philox stream keyed by (seed, i) that path_rng defines; the engine re-keys
+one generator to that key per path instead of building a generator per path.
+Results depend only on the seed and the path count.
 """
 
 from __future__ import annotations
@@ -247,7 +248,12 @@ def draw_xi(
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based stream for one path, independent of all others."""
+    """Counter-based stream for one path, independent of all others.
+
+    This is the definition of path i's stream: a Philox generator keyed by
+    (seed, i) at counter 0. The path engine does not construct one per path;
+    it re-keys a single generator to the same state.
+    """
     if not isinstance(seed, (int, np.integer)) or not (0 <= int(seed) < 2**64):
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not isinstance(path_index, (int, np.integer)) or path_index < 0:
@@ -271,11 +277,21 @@ def _path_chunks(
     """
     count = max(table.n for table in tables) + 1
     sigma = _xi_sigma(xi_mode, count, spec.tail, spec.family)
+    rng = path_rng(seed, 0)
+    bit_generator = rng.bit_generator
+    # the state of a fresh path_rng(seed, i) is this one with key[1] = i:
+    # counter 0, empty buffer, no cached uint32
+    fresh = bit_generator.state
+    key = fresh["state"]["key"]
+    xi = np.empty((min(paths, _CHUNK_PATHS), count))
     for start in range(0, paths, _CHUNK_PATHS):
-        stop = min(start + _CHUNK_PATHS, paths)
-        xi = np.stack([path_rng(seed, i).standard_normal(count) for i in range(start, stop)])
-        xi *= sigma
-        yield tuple(synthesize_path(table, xi[:, : table.n + 1]) for table in tables)
+        rows = xi[: min(_CHUNK_PATHS, paths - start)]
+        for i, row in enumerate(rows, start):
+            key[1] = i
+            bit_generator.state = fresh
+            rng.standard_normal(out=row)
+        rows *= sigma
+        yield tuple(synthesize_path(table, rows[:, : table.n + 1]) for table in tables)
 
 
 @dataclass(frozen=True)
@@ -381,21 +397,3 @@ def verify_reliability(
         xi_mode=xi_mode,
         seed=int(seed),
     )
-
-
-def dominance_fraction(
-    approx_table: CoefficientTable, reference_table: CoefficientTable
-) -> float:
-    """Fraction of shared (k, t) entries where |ahat_k(t)| >= |a_k(t)|.
-
-    Diagnostic for the assumption that approximate coefficients dominate the
-    exact ones; reported, never enforced.
-    """
-    if approx_table.time_grid.shape != reference_table.time_grid.shape or not np.array_equal(
-        approx_table.time_grid, reference_table.time_grid
-    ):
-        raise DomainError("tables must share one time grid")
-    k = min(approx_table.n, reference_table.n) + 1
-    a = np.abs(approx_table.values[:k])
-    r = np.abs(reference_table.values[:k])
-    return float(np.mean(a >= r))

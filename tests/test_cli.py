@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orthoproc
-from orthoproc import cli
+from orthoproc import cli, compute_coefficients, process
 from orthoproc.cli import main
 
 BASE = {
@@ -180,6 +181,46 @@ def test_output_files_honour_umask(tmp_path):
         cli._file_mode.cache_clear()
     for path in (ver / "report.json", sim / "paths.csv"):
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_write_atomic_failing_stream_leaves_nothing(tmp_path):
+    def parts():
+        yield "path_id,t,value\n"
+        raise RuntimeError("engine failed")
+
+    target = tmp_path / "out" / "paths.csv"
+    with pytest.raises(RuntimeError, match="engine failed"):
+        cli._write_atomic(target, parts())
+    assert not target.exists()
+    assert list(target.parent.glob(".paths.csv.*")) == []
+
+
+def test_simulate_streams_chunks(tmp_path, monkeypatch):
+    # several engine chunks, the last one partial
+    monkeypatch.setattr(process, "_CHUNK_PATHS", 2)
+    cfg = write_cfg(tmp_path, n=2, paths=5, time_grid_points=33)
+    umask = 0o027
+    previous = os.umask(umask)
+    cli._file_mode.cache_clear()
+    try:
+        _, out = run(tmp_path, "simulate", cfg)
+    finally:
+        os.umask(previous)
+        cli._file_mode.cache_clear()
+    path = out / "paths.csv"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    spec = cli._process_spec(cli.validate_config(json.loads(Path(cfg).read_text())), "simulate")
+    grid = np.linspace(0.0, 1.0, 33)
+    table = compute_coefficients(spec, 2, 256, grid)
+    chunks = process._path_chunks(spec, (table,), 5, cli.DEFAULT_SEED, "norm-decaying")
+    rows = np.concatenate([chunk for (chunk,) in chunks])
+    lines = ["path_id,t,value"] + [
+        f"{i},{format(t, '.17g')},{format(x, '.17g')}"
+        for i, values in enumerate(rows)
+        for t, x in zip(grid, values)
+    ]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def _run_module_without_warnings(tmp_path, module):

@@ -16,7 +16,6 @@ from orthoproc import (
     UnknownKernelError,
     builtin_kernel,
     compute_coefficients,
-    dominance_fraction,
     draw_xi,
     gauss_legendre_rule,
     integrate,
@@ -31,6 +30,7 @@ from orthoproc import (
     tail_weights,
     verify_reliability,
 )
+from orthoproc import process
 from orthoproc.cli import main
 from orthoproc.process import _CHUNK_PATHS, _path_chunks
 
@@ -275,6 +275,44 @@ def test_path_engine_matches_per_path_reference(tmp_path):
         _check_engine_against_loop(out_dir, xi_mode)
 
 
+def _engine_xi(seed, xi_mode, paths, count=6):
+    # an identity table makes each synthesized path its xi row exactly
+    identity = CoefficientTable(count - 1, np.arange(float(count)), np.eye(count))
+    chunks = _path_chunks(legendre_spec(), (identity,), paths, seed, xi_mode)
+    return np.concatenate([rows for (rows,) in chunks])
+
+
+def test_engine_xi_rows_match_path_rng():
+    paths, count = 2 * _CHUNK_PATHS + 3, 6
+    for seed in (0, 2**64 - 1):
+        for xi_mode in XI_MODES:
+            expected = np.stack(
+                [draw_xi(xi_mode, count, TB, legendre(), path_rng(seed, i)) for i in range(paths)]
+            )
+            np.testing.assert_array_equal(_engine_xi(seed, xi_mode, paths, count), expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_engine_xi_rows_independent_of_chunk_size(monkeypatch, chunk):
+    expected = _engine_xi(2**64 - 1, "norm-decaying", 20)
+    monkeypatch.setattr(process, "_CHUNK_PATHS", chunk)
+    np.testing.assert_array_equal(_engine_xi(2**64 - 1, "norm-decaying", 20), expected)
+
+
+@pytest.mark.parametrize("paths", [1, 50, 2 * _CHUNK_PATHS + 3])
+def test_verify_builds_one_philox_per_call(monkeypatch, paths):
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    verify_reliability(legendre_spec(), 1, 0.1, 0.05, paths=paths, seed=3)
+    assert len(built) <= 1
+
+
 def test_verify_reliability_validation():
     spec = legendre_spec()
     with pytest.raises(DomainError):
@@ -285,6 +323,9 @@ def test_verify_reliability_validation():
         verify_reliability(spec, 1, 0.1, 1.5, paths=10, seed=1)
     with pytest.raises(DomainError):
         verify_reliability(spec, 1, -0.1, 0.05, paths=10, seed=1)
+    for seed in (-1, 2**64):
+        with pytest.raises(DomainError):
+            verify_reliability(spec, 1, 0.1, 0.05, paths=10, seed=seed)
 
 
 def test_report_serialization():
@@ -297,16 +338,6 @@ def test_report_serialization():
     assert payload["empirical_prob"] == report.exceedances / 20
     row = report.csv_row().split(",")
     assert len(row) == len(report.CSV_HEADER.split(",")) == 9
-
-
-def test_dominance_fraction():
-    spec = legendre_spec()
-    grid = np.linspace(0.0, 1.0, 9)
-    coarse = compute_coefficients(spec, 4, 64, grid)
-    assert dominance_fraction(coarse, coarse) == 1.0
-    other = compute_coefficients(spec, 4, 64, np.linspace(0.0, 1.0, 11))
-    with pytest.raises(DomainError):
-        dominance_fraction(coarse, other)
 
 
 def test_coefficient_table_validation():
