@@ -17,11 +17,14 @@ The subtracted partial sum is signed, not absolute: the clamp at zero keeps
 the bound valid when cancellation drives the bracket negative, and
 clamped_fraction reports how often that happened. It is also a prefix sum
 over k, so c_n_curve gets C_0..C_N for every order from one coefficient
-table; c_n_bound and select_N both read that curve.
+table; c_n_bound and select_N both read that curve. Neither delta nor alpha
+enters C_N, only the two thresholds, so the curve is memoised per (spec,
+n_max, resolution, override) and repeated queries on one spec reuse it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -255,7 +258,9 @@ class BoundReport:
 class CNCurve:
     """C_N for every order N = 0..n_max, with the shared gate thresholds.
 
-    curve[n] is the BoundReport of order n.
+    curve[n] is the BoundReport of order n. c_n and clamped_fraction are
+    shared by every curve of the same (spec, n_max, resolution, override)
+    and are read-only.
     """
 
     family: PolynomialFamily
@@ -302,8 +307,14 @@ def c_n_curve(
     raises it to spec.p, and integrates over [0, T] by composite Simpson
     (C_N is the integral itself, not its p-th root; the thresholds carry the
     matching power scaling). The closed-form generating-function integral
-    is cross-checked against direct quadrature on every call and the run is
-    rejected if they disagree beyond 1e-6 relative.
+    is cross-checked against direct quadrature and the run is rejected if
+    they disagree beyond 1e-6 relative.
+
+    delta and alpha only set the two thresholds, so the curve itself is
+    computed, oracle check included, once per distinct (spec, n_max,
+    resolution, override) per process and shared by later calls; a failed
+    check is not stored and raises again on every call. spec is part of
+    that key, so its kernel callables must be hashable and pure.
 
     tail_weight_override replaces the family's own tau_bound vector
     (length n_max+1) in the subtracted sum; the budget term keeps the
@@ -315,11 +326,43 @@ def c_n_curve(
         DomainError: on invalid n_max, delta, alpha, or override shape.
     """
     n_max = _check_order(n_max, "n_max")
-    family = spec.family
-    tb = spec.tail
     thr_rel = threshold_reliability(delta, alpha, spec.orlicz, spec.p)
     thr_acc = threshold_accuracy(delta, spec.p, spec.orlicz)
+    override_bytes = None
+    if tail_weight_override is not None:
+        tw = np.asarray(tail_weight_override, dtype=float)
+        if tw.shape != (n_max + 1,):
+            raise DomainError(
+                f"tail_weight_override must have shape ({n_max + 1},), got {tw.shape}"
+            )
+        override_bytes = tw.tobytes()
 
+    c_n, clamped_fraction, gf_value, gf_oracle = _curve_arrays(
+        spec, n_max, resolution, override_bytes
+    )
+    return CNCurve(
+        family=spec.family,
+        c_n=c_n,
+        clamped_fraction=clamped_fraction,
+        threshold_rel=thr_rel,
+        threshold_acc=thr_acc,
+        gf_integral_value=gf_value,
+        gf_integral_oracle=gf_oracle,
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _curve_arrays(
+    spec: "ProcessSpec", n_max: int, resolution: Resolution, override_bytes: bytes | None
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The (delta, alpha)-free part of c_n_curve: C_N, clamped fractions, gf values.
+
+    Cached per process (64 entries of 2 (n_max+1) floats each); the arrays
+    are read-only because every caller gets the same pair. override_bytes is
+    the float64 override vector as bytes, or None for the family's weights.
+    """
+    family = spec.family
+    tb = spec.tail
     gf_value = gf_square_integral(family, tb.w)
     gf_oracle = gf_square_integral_oracle(family, tb.w, resolution.oracle_nodes)
     if abs(gf_value - gf_oracle) > max(_GF_ORACLE_RTOL, _GF_ORACLE_RTOL * abs(gf_oracle)):
@@ -328,14 +371,10 @@ def c_n_curve(
             f"closed form {gf_value!r} vs quadrature {gf_oracle!r}"
         )
 
-    if tail_weight_override is None:
+    if override_bytes is None:
         tw = tail_weights(family, tb, n_max)
     else:
-        tw = np.asarray(tail_weight_override, dtype=float)
-        if tw.shape != (n_max + 1,):
-            raise DomainError(
-                f"tail_weight_override must have shape ({n_max + 1},), got {tw.shape}"
-            )
+        tw = np.frombuffer(override_bytes, dtype=float)
 
     # deferred import: process builds on this module's tail weights
     from .process import compute_coefficients
@@ -345,15 +384,11 @@ def c_n_curve(
     table = compute_coefficients(spec, n_max, rule, time_grid)
     brackets = _brackets(tb, gf_value, spec.kernel.energy_at(time_grid), tw, table.values)
 
-    return CNCurve(
-        family=family,
-        c_n=np.maximum(brackets, 0.0) ** spec.p @ simpson_weights(time_grid),
-        clamped_fraction=np.mean(brackets < 0.0, axis=1),
-        threshold_rel=thr_rel,
-        threshold_acc=thr_acc,
-        gf_integral_value=gf_value,
-        gf_integral_oracle=gf_oracle,
-    )
+    c_n = np.maximum(brackets, 0.0) ** spec.p @ simpson_weights(time_grid)
+    clamped_fraction = np.mean(brackets < 0.0, axis=1)
+    c_n.setflags(write=False)
+    clamped_fraction.setflags(write=False)
+    return c_n, clamped_fraction, gf_value, gf_oracle
 
 
 def c_n_bound(

@@ -32,7 +32,10 @@ from orthoproc import (
     tail_norm_bound,
     tail_weights,
     tau_bound,
+    threshold_accuracy,
+    threshold_reliability,
 )
+from orthoproc import bounds, process
 
 TB = TailBoundSpec(1.0, 0.5)
 
@@ -397,6 +400,106 @@ def test_tail_weight_override_shape_guard():
     spec = make_spec("exp-bounded", legendre())
     with pytest.raises(DomainError):
         c_n_bound(spec, 3, 0.1, 0.05, tail_weight_override=np.ones(2))
+
+
+@pytest.mark.parametrize("override", (False, True))
+@pytest.mark.parametrize("nodes", (256, 512))
+@pytest.mark.parametrize("kernel_name,family", CURVE_FIXTURES)
+def test_cached_curve_is_bit_identical(kernel_name, family, nodes, override):
+    spec = make_spec(kernel_name, family)
+    res = Resolution(spectral_nodes=nodes, oracle_nodes=nodes)
+    tw = np.linspace(1.0, 0.1, 9) if override else None
+    kwargs = dict(resolution=res, tail_weight_override=tw)
+    # the undecorated body is the uncached reference
+    ref_c_n, ref_clamped, ref_gf, ref_oracle = bounds._curve_arrays.__wrapped__(
+        spec, 8, res, None if tw is None else tw.tobytes()
+    )
+    bounds._curve_arrays.cache_clear()
+    cold = c_n_curve(spec, 8, 0.1, 0.05, **kwargs)
+    hit = c_n_curve(spec, 8, 0.1, 0.05, **kwargs)
+    other = c_n_curve(spec, 8, 0.7, 0.2, **kwargs)
+    assert bounds._curve_arrays.cache_info().misses == 1
+    for curve in (cold, hit, other):
+        assert np.array_equal(curve.c_n, ref_c_n)
+        assert np.array_equal(curve.clamped_fraction, ref_clamped)
+        assert (curve.gf_integral_value, curve.gf_integral_oracle) == (ref_gf, ref_oracle)
+    for curve, (delta, alpha) in ((cold, (0.1, 0.05)), (hit, (0.1, 0.05)), (other, (0.7, 0.2))):
+        assert curve.threshold_rel == threshold_reliability(delta, alpha, spec.orlicz, spec.p)
+        assert curve.threshold_acc == threshold_accuracy(delta, spec.p, spec.orlicz)
+
+
+@pytest.fixture
+def curve_work(monkeypatch):
+    """Counts of coefficient tables built and gf oracle checks run, from a cold cache."""
+    counts = {"tables": 0, "oracles": 0}
+    build, oracle = process.compute_coefficients, bounds.gf_square_integral_oracle
+
+    def counting_build(*args, **kwargs):
+        counts["tables"] += 1
+        return build(*args, **kwargs)
+
+    def counting_oracle(*args, **kwargs):
+        counts["oracles"] += 1
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(process, "compute_coefficients", counting_build)
+    monkeypatch.setattr(bounds, "gf_square_integral_oracle", counting_oracle)
+    bounds._curve_arrays.cache_clear()
+    return counts
+
+
+def test_curve_cache_key_separation(curve_work):
+    spec = make_spec("exp-bounded", legendre())
+    res = Resolution(spectral_nodes=64, time_grid_points=65, oracle_nodes=64)
+    for delta in (1e-9, 0.01, 0.018, 0.5, 1e6):
+        for alpha in (0.05, 0.2):
+            select_N(spec, delta, alpha, 8, resolution=res)
+    assert curve_work == {"tables": 1, "oracles": 1}
+
+    variants = (
+        (make_spec("exp-bounded", legendre(), tb=TailBoundSpec(1.0, 0.3)), 8, res, None),
+        (spec, 9, res, None),
+        (spec, 8, Resolution(spectral_nodes=96, time_grid_points=65, oracle_nodes=64), None),
+        (spec, 8, Resolution(spectral_nodes=64, time_grid_points=65, oracle_nodes=96), None),
+        (spec, 8, Resolution(spectral_nodes=64, time_grid_points=33, oracle_nodes=64), None),
+        (spec, 8, res, np.ones(9)),
+        (spec, 8, res, np.full(9, 0.5)),
+    )
+    for i, (s, n_max, r, tw) in enumerate(variants, start=2):
+        c_n_curve(s, n_max, 0.1, 0.05, resolution=r, tail_weight_override=tw)
+        assert curve_work["tables"] == i
+    assert curve_work["oracles"] == len(variants) + 1
+
+
+def test_cached_curve_arrays_are_read_only():
+    curve = c_n_curve(make_spec("exp-bounded", legendre()), 4, 0.1, 0.05)
+    with pytest.raises(ValueError):
+        curve.c_n[0] = 0.0
+    with pytest.raises(ValueError):
+        curve.clamped_fraction[0] = 0.0
+
+
+def test_curve_cache_keeps_every_error(curve_work):
+    spec = make_spec("exp-bounded", legendre(), tb=TailBoundSpec(1.0, 0.9))
+    starved = Resolution(oracle_nodes=2)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            c_n_curve(spec, 1, 0.1, 0.05, resolution=starved)
+    # a failed check is not stored: both calls ran the oracle
+    assert curve_work["oracles"] == 2
+
+    tw = np.ones(5)
+    c_n_curve(spec, 4, 0.1, 0.05)
+    c_n_curve(spec, 4, 0.1, 0.05, tail_weight_override=tw)
+    for delta, alpha in ((0.0, 0.05), (-1.0, 0.05), (0.1, 0.0), (0.1, 2.0), (0.1, -0.1)):
+        with pytest.raises(DomainError):
+            c_n_curve(spec, 4, delta, alpha)
+        with pytest.raises(DomainError):
+            select_N(spec, delta, alpha, 4)
+    for bad in (np.ones(4), np.ones(6), np.ones((5, 1))):
+        with pytest.raises(DomainError):
+            c_n_curve(spec, 4, 0.1, 0.05, tail_weight_override=bad)
+    assert curve_work["tables"] == 2
 
 
 def test_report_serialization_round_trip():

@@ -28,7 +28,7 @@ from orthoproc import (
     simpson_rule,
     simpson_weights,
 )
-from orthoproc import quadrature
+from orthoproc import bounds, quadrature
 
 
 def test_two_point_rule_is_exact():
@@ -88,6 +88,8 @@ def test_select_n_reuses_the_newton_solve(monkeypatch):
 
     monkeypatch.setattr(quadrature, "legendre_pair", counting)
     quadrature._gauss_legendre_raw.cache_clear()
+    # a curve cached by an earlier test would skip the rules altogether
+    bounds._curve_arrays.cache_clear()
     spec = ProcessSpec(
         kernel=builtin_kernel("exp-decay"),
         family=laguerre(0.5),
