@@ -35,6 +35,7 @@ from ..orthopoly import (
 from ..process import (
     XI_MODES,
     ProcessSpec,
+    _check_xi_law,
     _path_chunks,
     builtin_kernel,
     compute_coefficients,
@@ -291,7 +292,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     def parts():
         yield "path_id,t,value\n"
         start = 0
-        for (chunk,) in _path_chunks(spec, (table,), cfg["paths"], cfg["seed"], cfg["xi_mode"]):
+        for chunk in _path_chunks(spec, table, cfg["paths"], cfg["seed"], cfg["xi_mode"]):
             yield "".join(
                 template.format(i, *values) for i, values in enumerate(chunk.tolist(), start)
             )
@@ -306,6 +307,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     empirical exceedance probability stays within alpha."""
     _require(cfg, "verify", "delta", "alpha")
     spec = _process_spec(cfg, "verify")
+    _check_xi_law(spec)  # before a selection that could not be verified
     if "n" in cfg:
         model_n = cfg["n"]
     else:

@@ -101,11 +101,11 @@ def threshold_reliability(delta: float, alpha: float, spec: OrliczSpec, p: float
     to stay below alpha.
 
     Raises:
-        DomainError: if delta <= 0, alpha outside (0, 2), or p < 1.
+        DomainError: if delta <= 0, alpha outside (0, 1), or p < 1.
     """
     _check_delta_p(delta, p)
-    if not (0.0 < alpha < 2.0):
-        raise DomainError(f"alpha must lie in (0, 2), got {alpha}")
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     b = spec.beta
     return delta / (b * math.log(2.0 / alpha)) ** (p / b)
 

@@ -8,11 +8,14 @@ functions; truncated sample paths are X_N(t) = sum_k xi_k ahat_k(t).
 Verification stands the unobservable exact process in for by a
 high-truncation, high-resolution reference expansion sharing the same xi
 draws; the empirical exceedance rate of the L_p deviation over many paths is
-compared against the certified level. Paths are produced on one thread in
-fixed chunks of _CHUNK_PATHS. Path i's randomness is the counter-based
-Philox stream keyed by (seed, i) that path_rng defines; the engine re-keys
-one generator to that key per path instead of building a generator per path.
-Results depend only on the seed and the path count.
+compared against the certified level. The deviation is linear in xi, so it is
+synthesized directly from one deviation table D = ahat^ref - ahat padded with
+zero rows: rows k <= N hold the coefficient-approximation error
+ahat^ref_k - ahat_k, rows k > N the truncated tail ahat^ref_k. Paths are
+produced on one thread in fixed chunks of _CHUNK_PATHS. Path i's randomness
+is the counter-based Philox stream keyed by (seed, i) that path_rng defines;
+the engine re-keys one generator to that key per path instead of building a
+generator per path. Results depend only on the seed and the path count.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from typing import Callable
 import numpy as np
 
 from .bounds import tail_weights
-from .errors import DomainError, UnknownKernelError
+from .errors import DomainError, UnknownKernelError, UnsupportedRegimeError
 from .orlicz import OrliczSpec, TailBoundSpec
 from .orthopoly import PolynomialFamily, orthonormal_block
-from .quadrature import QuadratureRule, lp_norm, rule_for_family
+from .quadrature import QuadratureRule, _lp_norms_inplace, rule_for_family, simpson_weights
 
 XI_MODES = ("unit-variance", "norm-decaying")
 
@@ -264,25 +267,32 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
 
 def _path_chunks(
     spec: ProcessSpec,
-    tables: tuple[CoefficientTable, ...],
+    table: CoefficientTable,
     paths: int,
     seed: int,
     xi_mode: str,
 ):
-    """Yield, for each chunk of _CHUNK_PATHS consecutive paths, one stack of
-    paths per table, all synthesized from the same xi draws.
+    """Yield, for each chunk of _CHUNK_PATHS consecutive paths, the stack of
+    paths synthesized from the table, one path per row.
 
-    Path i draws the xi vector of the largest table from path_rng(seed, i),
-    exactly as draw_xi would; smaller tables use its leading entries.
+    Path i draws its xi vector from path_rng(seed, i), exactly as draw_xi
+    would.
     """
-    count = max(table.n for table in tables) + 1
+    count = table.n + 1
     sigma = _xi_sigma(xi_mode, count, spec.tail, spec.family)
     rng = path_rng(seed, 0)
     bit_generator = rng.bit_generator
-    # the state of a fresh path_rng(seed, i) is this one with key[1] = i:
-    # counter 0, empty buffer, no cached uint32
-    fresh = bit_generator.state
-    key = fresh["state"]["key"]
+    # the state of a fresh path_rng(seed, i): counter 0, key (seed, i), empty
+    # buffer, no cached uint32; plain ints set it faster than uint64 arrays
+    key = [int(seed), 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     xi = np.empty((min(paths, _CHUNK_PATHS), count))
     for start in range(0, paths, _CHUNK_PATHS):
         rows = xi[: min(_CHUNK_PATHS, paths - start)]
@@ -291,7 +301,7 @@ def _path_chunks(
             bit_generator.state = fresh
             rng.standard_normal(out=row)
         rows *= sigma
-        yield tuple(synthesize_path(table, rows[:, : table.n + 1]) for table in tables)
+        yield synthesize_path(table, rows)
 
 
 @dataclass(frozen=True)
@@ -339,6 +349,15 @@ class VerificationReport:
         )
 
 
+def _check_xi_law(spec: ProcessSpec) -> None:
+    """Refuse a spec whose Orlicz generator the Gaussian xi law violates."""
+    if spec.orlicz.gamma < 2.0:
+        raise UnsupportedRegimeError(
+            f"verify draws Gaussian xi, which are not phi-sub-Gaussian for "
+            f"gamma < 2; got gamma = {spec.orlicz.gamma}"
+        )
+
+
 def verify_reliability(
     spec: ProcessSpec,
     model_n: int,
@@ -357,10 +376,16 @@ def verify_reliability(
     Monte Carlo against a high-truncation reference expansion.
 
     Each path draws one xi vector for the reference model and reuses its
-    leading entries for the truncated model, so the difference isolates the
-    truncation (plus coefficient-resolution) error. reference_n defaults to
-    4 * model_n + 32; passing reference_n == model_n is allowed for
-    null-difference diagnostics. Deterministic given (seed, paths).
+    leading entries for the truncated model, so the deviation
+    sum_k xi_k (ahat^ref_k - ahat_k) carries both error sources: truncation
+    (k > model_n) and coefficient approximation (k <= model_n). It is
+    synthesized in one product against the deviation table. reference_n
+    defaults to 4 * model_n + 32; passing reference_n == model_n is allowed
+    for null-difference diagnostics. Deterministic given (seed, paths).
+
+    Raises:
+        UnsupportedRegimeError: if spec.orlicz.gamma < 2, where the Gaussian
+            xi law is not phi-sub-Gaussian and the certificate does not apply.
     """
     if not isinstance(paths, (int, np.integer)) or paths < 1:
         raise DomainError(f"paths must be a positive integer, got {paths!r}")
@@ -368,6 +393,7 @@ def verify_reliability(
         raise DomainError(f"delta must be a finite number > 0, got {delta}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_xi_law(spec)
     if reference_n is None:
         reference_n = 4 * int(model_n) + 32
     if reference_n < model_n:
@@ -380,12 +406,14 @@ def verify_reliability(
     reference_table = compute_coefficients(
         spec, int(reference_n), rule_for_family(spec.family, reference_nodes), time_grid
     )
+    deviation = reference_table.values.copy()
+    deviation[: model_table.n + 1] -= model_table.values
+    deviation_table = CoefficientTable(reference_table.n, time_grid, deviation)
+    w = simpson_weights(time_grid)
     exceedances = 0
-    for model_paths, reference_paths in _path_chunks(
-        spec, (model_table, reference_table), int(paths), int(seed), xi_mode
-    ):
-        norms = lp_norm(reference_paths - model_paths, time_grid, spec.p)
-        exceedances += int(np.sum(norms > delta))
+    for dev in _path_chunks(spec, deviation_table, int(paths), int(seed), xi_mode):
+        exceedances += int(np.sum(_lp_norms_inplace(dev, w, spec.p) > delta))
+        del dev  # free this chunk before the engine synthesizes the next
     return VerificationReport(
         paths=int(paths),
         exceedances=exceedances,

@@ -224,13 +224,20 @@ def lp_norm(values_on_grid: np.ndarray, grid: np.ndarray, p: float) -> float | n
     """
     if not (p >= 1.0):
         raise DomainError(f"lp_norm requires p >= 1, got {p}")
-    values = np.asarray(values_on_grid, dtype=float)
+    values = np.array(values_on_grid, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if values.shape[-1:] != grid.shape:
         raise DomainError("values and grid must have matching length")
-    w = simpson_weights(grid)
-    norms = (np.abs(values) ** p @ w) ** (1.0 / p)
+    norms = _lp_norms_inplace(values, simpson_weights(grid), p)
     return float(norms) if values.ndim == 1 else norms
+
+
+def _lp_norms_inplace(values: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """(sum_j w_j |values_j|^p)^(1/p) along the trailing axis, computed in
+    the float64 array values, which it overwrites."""
+    np.abs(values, out=values)
+    np.power(values, p, out=values)
+    return (values @ w) ** (1.0 / p)
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11, max_depth: int = 48) -> float:

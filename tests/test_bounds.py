@@ -491,7 +491,15 @@ def test_curve_cache_keeps_every_error(curve_work):
     tw = np.ones(5)
     c_n_curve(spec, 4, 0.1, 0.05)
     c_n_curve(spec, 4, 0.1, 0.05, tail_weight_override=tw)
-    for delta, alpha in ((0.0, 0.05), (-1.0, 0.05), (0.1, 0.0), (0.1, 2.0), (0.1, -0.1)):
+    for delta, alpha in (
+        (0.0, 0.05),
+        (-1.0, 0.05),
+        (0.1, 0.0),
+        (0.1, 1.0),
+        (0.1, 1.5),
+        (0.1, 2.0),
+        (0.1, -0.1),
+    ):
         with pytest.raises(DomainError):
             c_n_curve(spec, 4, delta, alpha)
         with pytest.raises(DomainError):

@@ -213,8 +213,8 @@ def test_simulate_streams_chunks(tmp_path, monkeypatch):
     spec = cli._process_spec(cli.validate_config(json.loads(Path(cfg).read_text())), "simulate")
     grid = np.linspace(0.0, 1.0, 33)
     table = compute_coefficients(spec, 2, 256, grid)
-    chunks = process._path_chunks(spec, (table,), 5, cli.DEFAULT_SEED, "norm-decaying")
-    rows = np.concatenate([chunk for (chunk,) in chunks])
+    chunks = process._path_chunks(spec, table, 5, cli.DEFAULT_SEED, "norm-decaying")
+    rows = np.concatenate(list(chunks))
     lines = ["path_id,t,value"] + [
         f"{i},{format(t, '.17g')},{format(x, '.17g')}"
         for i, values in enumerate(rows)
@@ -249,6 +249,22 @@ def test_python_m_orthoproc_cli_runs_without_warnings(tmp_path):
     # runpy warns when the module it runs was already imported by its
     # package's __init__, unless that module is itself a package
     _run_module_without_warnings(tmp_path, "orthoproc.cli")
+
+
+def test_verify_refuses_gamma_below_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, n=1, paths=20)
+    code, out = run(tmp_path, "verify", cfg, "--set", "gamma=1.5")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gamma < 2" in err and "1.5" in err
+    assert not (out / "report.json").exists()
+    # refused before selection, also when no order would pass
+    unselected = write_cfg(tmp_path, name="unselected.json", paths=20, delta=1e-6)
+    code, _ = run(tmp_path, "verify", unselected, "--set", "gamma=1.5", sub="unselected")
+    assert code == 1
+    assert "gamma < 2" in capsys.readouterr().err
+    code, _ = run(tmp_path, "verify", cfg, "--set", "gamma=2", sub="gaussian")
+    assert code == 0
 
 
 def test_verify_selects_n_when_absent(tmp_path):

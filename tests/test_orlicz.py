@@ -120,8 +120,10 @@ def test_threshold_validation():
     spec = OrliczSpec(2.0)
     with pytest.raises(DomainError):
         threshold_reliability(0.0, 0.05, spec, 2.0)
-    with pytest.raises(DomainError):
-        threshold_reliability(1.0, 2.0, spec, 2.0)
+    # alpha is a probability level: the same (0, 1) as verify and the CLI
+    for alpha in (0.0, 1.0, 1.5, 2.0):
+        with pytest.raises(DomainError):
+            threshold_reliability(1.0, alpha, spec, 2.0)
     with pytest.raises(DomainError):
         threshold_reliability(1.0, 0.05, spec, 0.5)
     with pytest.raises(DomainError):

@@ -2,6 +2,8 @@
 Monte Carlo verifier's determinism contract."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from orthoproc import (
     ProcessSpec,
     TailBoundSpec,
     UnknownKernelError,
+    UnsupportedRegimeError,
     builtin_kernel,
     compute_coefficients,
     draw_xi,
@@ -219,26 +222,42 @@ def _dot_error(xi, table):
     return 2.0 * xi.shape[-1] * EPS * (np.abs(xi) @ np.abs(table.values))
 
 
+def _deviation_error(xi, model, reference):
+    # the engine sums K = reference.n + 1 terms xi_k D_k, each D_k rounded
+    # once from ahat^ref_k - ahat_k (rows k > N are exact): at most
+    # (K + 1) eps S off the exact deviation, where
+    # S = sum_k |xi_k| (|ahat^ref_k| + |ahat_k|) bounds sum_k |xi_k D_k|. The
+    # loop's two dot products are at most K eps S off it before their
+    # subtraction, which the caller bounds by eps |diff|; the sum of both
+    # sides stays below 2 (K + 1) eps S
+    m = model.n + 1
+    scale = np.abs(xi) @ np.abs(reference.values) + np.abs(xi[:m]) @ np.abs(model.values)
+    return 2.0 * (xi.shape[-1] + 1) * EPS * scale
+
+
 def _check_engine_against_loop(out_dir, xi_mode):
     spec = legendre_spec()
     paths, seed = 2 * _CHUNK_PATHS + 3, 321
     grid = np.linspace(0.0, 1.0, 257)
     model = compute_coefficients(spec, 1, 256, grid)
     reference = compute_coefficients(spec, 36, 512, grid)
+    deviation = reference.values.copy()
+    deviation[:2] -= model.values
+    deviation = CoefficientTable(36, grid, deviation)
 
-    # verify norms: the per-path loop the engine replaced
+    # verify norms: the per-path two-table loop the engine replaced
     ref_norms, tol = np.empty(paths), np.empty(paths)
     for i in range(paths):
         xi = draw_xi(xi_mode, reference.n + 1, TB, spec.family, path_rng(seed, i))
         diff = synthesize_path(reference, xi) - synthesize_path(model, xi[:2])
         ref_norms[i] = lp_norm(diff, grid, spec.p)
-        bound = _dot_error(xi, reference) + _dot_error(xi[:2], model) + 2.0 * EPS * np.abs(diff)
+        bound = _deviation_error(xi, model, reference) + 2.0 * EPS * np.abs(diff)
         # the power, the Simpson sum over G points and the root add at most
         # (G + 4) eps relative on each side
         tol[i] = lp_norm(bound, grid, spec.p) + 2.0 * (grid.size + 4) * EPS * ref_norms[i]
-    chunks = list(_path_chunks(spec, (model, reference), paths, seed, xi_mode))
-    assert [len(m) for m, _ in chunks] == [_CHUNK_PATHS, _CHUNK_PATHS, 3]
-    norms = np.concatenate([lp_norm(r - m, grid, spec.p) for m, r in chunks])
+    chunks = list(_path_chunks(spec, deviation, paths, seed, xi_mode))
+    assert [len(chunk) for chunk in chunks] == [_CHUNK_PATHS, _CHUNK_PATHS, 3]
+    norms = np.concatenate([lp_norm(chunk, grid, spec.p) for chunk in chunks])
     assert np.all(np.abs(norms - ref_norms) <= tol)
 
     delta = float(np.median(ref_norms))
@@ -278,8 +297,7 @@ def test_path_engine_matches_per_path_reference(tmp_path):
 def _engine_xi(seed, xi_mode, paths, count=6):
     # an identity table makes each synthesized path its xi row exactly
     identity = CoefficientTable(count - 1, np.arange(float(count)), np.eye(count))
-    chunks = _path_chunks(legendre_spec(), (identity,), paths, seed, xi_mode)
-    return np.concatenate([rows for (rows,) in chunks])
+    return np.concatenate(list(_path_chunks(legendre_spec(), identity, paths, seed, xi_mode)))
 
 
 def test_engine_xi_rows_match_path_rng():
@@ -311,6 +329,53 @@ def test_verify_builds_one_philox_per_call(monkeypatch, paths):
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     verify_reliability(legendre_spec(), 1, 0.1, 0.05, paths=paths, seed=3)
     assert len(built) <= 1
+
+
+@pytest.mark.parametrize("paths", [1, 50, 2 * _CHUNK_PATHS + 3])
+def test_verify_synthesizes_once_per_chunk(monkeypatch, paths):
+    calls = []
+    synthesize = process.synthesize_path
+
+    def counting_synthesize(table, xi):
+        calls.append(len(xi))
+        return synthesize(table, xi)
+
+    monkeypatch.setattr(process, "synthesize_path", counting_synthesize)
+    verify_reliability(legendre_spec(), 1, 0.1, 0.05, paths=paths, seed=3)
+    assert len(calls) == math.ceil(paths / _CHUNK_PATHS)
+    assert sum(calls) == paths
+
+
+def test_verify_memory_stays_near_one_chunk():
+    spec, paths, grid_points = legendre_spec(), 2 * 2 * _CHUNK_PATHS, 257
+    grid = np.linspace(0.0, spec.horizon, grid_points)
+    model = compute_coefficients(spec, 1, 256, grid)
+    reference = compute_coefficients(spec, 36, 512, grid)
+    verify_reliability(spec, 1, 0.1, 0.05, paths=8, seed=1)  # warm the rule caches
+    tracemalloc.start()
+    try:
+        verify_reliability(spec, 1, 0.1, 0.05, paths=paths, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk of deviations is live at a time, next to the chunk's xi rows
+    # and the tables; a per-chunk temporary (a second path stack, a
+    # difference, an |x|^p copy, or the previous chunk kept alive) adds a
+    # second chunk, which with the xi rows passes the bound
+    chunk_bytes = _CHUNK_PATHS * grid_points * 8
+    assert peak <= 2 * chunk_bytes + model.values.nbytes + reference.values.nbytes
+
+
+def test_verify_refuses_gamma_below_two():
+    spec = replace(legendre_spec(), orlicz=OrliczSpec(1.5))
+    # a Gaussian's mgf outgrows exp(|tau lambda|^gamma / gamma) for gamma < 2
+    with pytest.raises(UnsupportedRegimeError, match="gamma < 2"):
+        verify_reliability(spec, 1, 0.1, 0.05, paths=10, seed=1)
+    for gamma in (2.0, 3.0):
+        report = verify_reliability(
+            replace(spec, orlicz=OrliczSpec(gamma)), 1, 0.1, 0.05, paths=10, seed=1
+        )
+        assert report.paths == 10
 
 
 def test_verify_reliability_validation():
