@@ -292,7 +292,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     def parts():
         yield "path_id,t,value\n"
         start = 0
-        for chunk in _path_chunks(spec, table, cfg["paths"], cfg["seed"], cfg["xi_mode"]):
+        for chunk in _path_chunks(spec, table.values, cfg["paths"], cfg["seed"], cfg["xi_mode"]):
             yield "".join(
                 template.format(i, *values) for i, values in enumerate(chunk.tolist(), start)
             )

@@ -143,15 +143,25 @@ def _poly_block(family: PolynomialFamily, k_max: int, t: np.ndarray) -> np.ndarr
 
 
 def legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n, P_{n-1}) at points x; the pair the Newton node solver needs."""
+    """(P_n, P_{n-1}) at points x; the pair the Newton node solver needs.
+
+    Runs the Legendre recurrence in place on three arrays, in the form
+    P_{j+1} = x P_j + (j/(j + 1)) (x P_j - P_{j-1}), so each step allocates
+    nothing.
+    """
     _check_degree(n)
+    x = np.asarray(x, dtype=float)
     if n == 0:
         return np.ones_like(x), np.zeros_like(x)
-    fam = legendre()
     pkm1 = np.ones_like(x)
-    pk = np.asarray(x, dtype=float).copy()
+    pk = x.copy()
+    term = np.empty_like(x)
     for j in range(1, n):
-        pkm1, pk = pk, _recurrence_step(fam, j, x, pk, pkm1)
+        np.multiply(x, pk, out=term)
+        np.subtract(term, pkm1, out=pkm1)  # P_{j+1} is built in P_{j-1}'s array
+        pkm1 *= j / (j + 1.0)
+        pkm1 += term
+        pkm1, pk = pk, pkm1
     return pk, pkm1
 
 

@@ -11,7 +11,10 @@ draws; the empirical exceedance rate of the L_p deviation over many paths is
 compared against the certified level. The deviation is linear in xi, so it is
 synthesized directly from one deviation table D = ahat^ref - ahat padded with
 zero rows: rows k <= N hold the coefficient-approximation error
-ahat^ref_k - ahat_k, rows k > N the truncated tail ahat^ref_k. Paths are
+ahat^ref_k - ahat_k, rows k > N the truncated tail ahat^ref_k. At p = 2 the
+Simpson sum of dev^2 is a quadratic form in xi, so the engine synthesizes
+R xi from the triangular factor R (at most (K + 1) x (K + 1)) of the
+Simpson-weighted table instead of the paths on the time grid. Paths are
 produced on one thread in fixed chunks of _CHUNK_PATHS. Path i's randomness
 is the counter-based Philox stream keyed by (seed, i) that path_rng defines;
 the engine re-keys one generator to that key per path instead of building a
@@ -72,23 +75,35 @@ def _exp_bounded_energy(t):
     return np.where(small, 2.0, np.sinh(2.0 * safe) / safe)
 
 
+# the built-in kernels fill one (times x nodes) array and finish it in place
+def _exp_outer(rate, lam):
+    values = np.multiply.outer(rate, lam)
+    return np.exp(values, out=values)
+
+
+def _poly_bounded(t, lam):
+    values = np.multiply.outer(np.asarray(t, float), lam)
+    values += 1.0
+    return np.square(values, out=values)
+
+
 _BUILTIN = {
     "exp-bounded": Kernel(
         "exp-bounded",
         (-1.0, 1.0),
-        lambda t, lam: np.exp(np.multiply.outer(np.asarray(t, float), lam)),
+        lambda t, lam: _exp_outer(np.asarray(t, float), lam),
         _exp_bounded_energy,
     ),
     "exp-decay": Kernel(
         "exp-decay",
         (0.0, math.inf),
-        lambda t, lam: np.exp(-np.multiply.outer(1.0 + np.asarray(t, float), lam)),
+        lambda t, lam: _exp_outer(-(1.0 + np.asarray(t, float)), lam),
         _scalar_aware(lambda t: 1.0 / (2.0 * (1.0 + t))),
     ),
     "poly-bounded": Kernel(
         "poly-bounded",
         (-1.0, 1.0),
-        lambda t, lam: (1.0 + np.multiply.outer(np.asarray(t, float), lam)) ** 2,
+        _poly_bounded,
         # exact expansion of ((1+t)^5 - (1-t)^5)/(5t); no removable singularity
         _scalar_aware(lambda t: 2.0 + 4.0 * t**2 + 0.4 * t**4),
     ),
@@ -202,22 +217,24 @@ def compute_coefficients(
     kernel_values = np.asarray(spec.kernel.evaluate(time_grid, rule.nodes), dtype=float)
     if kernel_values.shape != (time_grid.size, rule.nodes.size):
         raise DomainError("kernel.evaluate must return one row per time grid point")
-    values = np.ascontiguousarray(((kernel_values * rule.weights) @ basis.T).T)
+    basis *= rule.weights
+    values = np.ascontiguousarray((kernel_values @ basis.T).T)
     return CoefficientTable(int(n), time_grid, values, rule.nodes.size)
 
 
-def synthesize_path(table: CoefficientTable, xi) -> np.ndarray:
+def synthesize_path(table: CoefficientTable | np.ndarray, xi) -> np.ndarray:
     """Sample path X_N(t_j) = sum_k xi_k ahat_k(t_j) on the table's grid.
 
     xi may also be a row-stack of coefficient vectors, one per path; the
-    result then holds one path per row.
+    result then holds one path per row. table may also be a plain 2-d array
+    standing for a table's values, one row per order.
     """
+    values = table.values if isinstance(table, CoefficientTable) else table
+    count = values.shape[0]
     xi = np.asarray(xi, dtype=float)
-    if xi.ndim not in (1, 2) or xi.shape[-1] != table.n + 1:
-        raise DomainError(
-            f"xi must have shape ({table.n + 1},) or (paths, {table.n + 1}), got {xi.shape}"
-        )
-    return xi @ table.values
+    if xi.ndim not in (1, 2) or xi.shape[-1] != count:
+        raise DomainError(f"xi must have shape ({count},) or (paths, {count}), got {xi.shape}")
+    return xi @ values
 
 
 def _xi_sigma(mode: str, count: int, tb: TailBoundSpec, family: PolynomialFamily) -> np.ndarray:
@@ -267,18 +284,19 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
 
 def _path_chunks(
     spec: ProcessSpec,
-    table: CoefficientTable,
+    values: np.ndarray,
     paths: int,
     seed: int,
     xi_mode: str,
 ):
-    """Yield, for each chunk of _CHUNK_PATHS consecutive paths, the stack of
-    paths synthesized from the table, one path per row.
+    """Yield, for each chunk of _CHUNK_PATHS consecutive paths, the stack
+    xi @ values, one path per row, for a (K + 1) x m array of values (a
+    coefficient table's, or any linear image of them).
 
     Path i draws its xi vector from path_rng(seed, i), exactly as draw_xi
     would.
     """
-    count = table.n + 1
+    count = values.shape[0]
     sigma = _xi_sigma(xi_mode, count, spec.tail, spec.family)
     rng = path_rng(seed, 0)
     bit_generator = rng.bit_generator
@@ -301,7 +319,7 @@ def _path_chunks(
             bit_generator.state = fresh
             rng.standard_normal(out=row)
         rows *= sigma
-        yield synthesize_path(table, rows)
+        yield synthesize_path(values, rows)
 
 
 @dataclass(frozen=True)
@@ -358,6 +376,22 @@ def _check_xi_law(spec: ProcessSpec) -> None:
         )
 
 
+def _gate_operands(deviation: np.ndarray, w: np.ndarray, p: float):
+    """(values, weights) such that _lp_norms_inplace(xi @ values, weights, p)
+    is the Simpson L_p norm of the deviation xi @ deviation on the grid with
+    weights w.
+
+    For p != 2 that is the deviation table itself. For p = 2 the Simpson sum
+    of dev^2 is xi^T A A^T xi with A = D diag(sqrt(w)); with A^T = QR it
+    equals |R xi|^2, so the values are R^T ((K + 1) x min(grid, K + 1)) with
+    unit weights, equal to the grid norm in exact arithmetic.
+    """
+    if p != 2.0:
+        return deviation, w
+    r = np.linalg.qr((deviation * np.sqrt(w)).T, mode="r")
+    return r.T, np.ones(r.shape[0])
+
+
 def verify_reliability(
     spec: ProcessSpec,
     model_n: int,
@@ -379,7 +413,9 @@ def verify_reliability(
     leading entries for the truncated model, so the deviation
     sum_k xi_k (ahat^ref_k - ahat_k) carries both error sources: truncation
     (k > model_n) and coefficient approximation (k <= model_n). It is
-    synthesized in one product against the deviation table. reference_n
+    synthesized in one product per chunk against the deviation table, or at
+    p = 2 against the QR factor R of the Simpson-weighted table, since
+    |R xi| equals the Simpson L_2 norm in exact arithmetic. reference_n
     defaults to 4 * model_n + 32; passing reference_n == model_n is allowed
     for null-difference diagnostics. Deterministic given (seed, paths).
 
@@ -400,18 +436,16 @@ def verify_reliability(
         raise DomainError(f"reference_N must be >= model_N, got {reference_n} < {model_n}")
 
     time_grid = np.linspace(0.0, spec.horizon, time_grid_points)
-    model_table = compute_coefficients(
-        spec, int(model_n), rule_for_family(spec.family, model_nodes), time_grid
-    )
-    reference_table = compute_coefficients(
-        spec, int(reference_n), rule_for_family(spec.family, reference_nodes), time_grid
-    )
-    deviation = reference_table.values.copy()
-    deviation[: model_table.n + 1] -= model_table.values
-    deviation_table = CoefficientTable(reference_table.n, time_grid, deviation)
-    w = simpson_weights(time_grid)
+
+    def table(n, nodes):
+        return compute_coefficients(spec, n, rule_for_family(spec.family, nodes), time_grid)
+
+    model = table(int(model_n), model_nodes).values
+    deviation = table(int(reference_n), reference_nodes).values  # a fresh array, ours
+    deviation[: len(model)] -= model
+    deviation, w = _gate_operands(deviation, simpson_weights(time_grid), spec.p)
     exceedances = 0
-    for dev in _path_chunks(spec, deviation_table, int(paths), int(seed), xi_mode):
+    for dev in _path_chunks(spec, deviation, int(paths), int(seed), xi_mode):
         exceedances += int(np.sum(_lp_norms_inplace(dev, w, spec.p) > delta))
         del dev  # free this chunk before the engine synthesizes the next
     return VerificationReport(

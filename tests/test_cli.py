@@ -213,7 +213,7 @@ def test_simulate_streams_chunks(tmp_path, monkeypatch):
     spec = cli._process_spec(cli.validate_config(json.loads(Path(cfg).read_text())), "simulate")
     grid = np.linspace(0.0, 1.0, 33)
     table = compute_coefficients(spec, 2, 256, grid)
-    chunks = process._path_chunks(spec, table, 5, cli.DEFAULT_SEED, "norm-decaying")
+    chunks = process._path_chunks(spec, table.values, 5, cli.DEFAULT_SEED, "norm-decaying")
     rows = np.concatenate(list(chunks))
     lines = ["path_id,t,value"] + [
         f"{i},{format(t, '.17g')},{format(x, '.17g')}"

@@ -21,6 +21,7 @@ from orthoproc import (
     compute_coefficients,
     draw_xi,
     gauss_legendre_rule,
+    gegenbauer,
     integrate,
     kernel_names,
     laguerre,
@@ -29,6 +30,7 @@ from orthoproc import (
     path_rng,
     rule_for_family,
     semi_infinite_rule,
+    simpson_weights,
     synthesize_path,
     tail_weights,
     verify_reliability,
@@ -36,6 +38,7 @@ from orthoproc import (
 from orthoproc import process
 from orthoproc.cli import main
 from orthoproc.process import _CHUNK_PATHS, _path_chunks
+from orthoproc.quadrature import _lp_norms_inplace
 
 EPS = np.finfo(float).eps
 TB = TailBoundSpec(1.0, 0.5)
@@ -243,7 +246,6 @@ def _check_engine_against_loop(out_dir, xi_mode):
     reference = compute_coefficients(spec, 36, 512, grid)
     deviation = reference.values.copy()
     deviation[:2] -= model.values
-    deviation = CoefficientTable(36, grid, deviation)
 
     # verify norms: the per-path two-table loop the engine replaced
     ref_norms, tol = np.empty(paths), np.empty(paths)
@@ -295,9 +297,8 @@ def test_path_engine_matches_per_path_reference(tmp_path):
 
 
 def _engine_xi(seed, xi_mode, paths, count=6):
-    # an identity table makes each synthesized path its xi row exactly
-    identity = CoefficientTable(count - 1, np.arange(float(count)), np.eye(count))
-    return np.concatenate(list(_path_chunks(legendre_spec(), identity, paths, seed, xi_mode)))
+    # an identity makes each synthesized path its xi row exactly
+    return np.concatenate(list(_path_chunks(legendre_spec(), np.eye(count), paths, seed, xi_mode)))
 
 
 def test_engine_xi_rows_match_path_rng():
@@ -347,7 +348,8 @@ def test_verify_synthesizes_once_per_chunk(monkeypatch, paths):
 
 
 def test_verify_memory_stays_near_one_chunk():
-    spec, paths, grid_points = legendre_spec(), 2 * 2 * _CHUNK_PATHS, 257
+    # at p = 3 the engine synthesizes every path on the time grid
+    spec, paths, grid_points = legendre_spec(p=3.0), 2 * 2 * _CHUNK_PATHS, 257
     grid = np.linspace(0.0, spec.horizon, grid_points)
     model = compute_coefficients(spec, 1, 256, grid)
     reference = compute_coefficients(spec, 36, 512, grid)
@@ -364,6 +366,102 @@ def test_verify_memory_stays_near_one_chunk():
     # second chunk, which with the xi rows passes the bound
     chunk_bytes = _CHUNK_PATHS * grid_points * 8
     assert peak <= 2 * chunk_bytes + model.values.nbytes + reference.values.nbytes
+
+
+def test_verify_memory_at_p2_stays_near_one_factor_chunk():
+    spec, paths, nodes = legendre_spec(), 2 * 2 * _CHUNK_PATHS, 64
+    grid = np.linspace(0.0, spec.horizon, 257)
+    model = compute_coefficients(spec, 1, nodes, grid)
+    reference = compute_coefficients(spec, 36, nodes, grid)
+    options = dict(seed=1, model_nodes=nodes, reference_nodes=nodes)
+    verify_reliability(spec, 1, 0.1, 0.05, paths=8, **options)  # warm the rule cache
+    tracemalloc.start()
+    try:
+        verify_reliability(spec, 1, 0.1, 0.05, paths=paths, **options)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # at p = 2 a chunk holds R xi, K + 1 values per path, next to the chunk's
+    # xi rows; 64 nodes keep the kernel matrix of the coefficient tables
+    # below these two buffers. Synthesizing on the 257-point grid again makes
+    # one chunk alone 7 times a factor chunk and fails the bound.
+    chunk_bytes = _CHUNK_PATHS * (reference.n + 1) * 8
+    assert peak <= 2 * chunk_bytes + model.values.nbytes + reference.values.nbytes
+
+
+def _deviation(spec, model_n, grid):
+    # verify's deviation table at its default orders and nodes
+    model = compute_coefficients(spec, model_n, 256, grid).values
+    deviation = compute_coefficients(spec, 4 * model_n + 32, 512, grid).values
+    deviation[: model_n + 1] -= model
+    return deviation
+
+
+# name -> (spec, model order)
+FACTOR_SPECS = {
+    "legendre/exp-bounded": (legendre_spec(), 1),
+    # a kernel of degree 2 in lambda: at N = 2 the deviation is roundoff
+    "legendre/poly-bounded": (legendre_spec("poly-bounded"), 2),
+    "laguerre(0.5)/exp-decay": (
+        replace(legendre_spec(), kernel=builtin_kernel("exp-decay"), family=laguerre(0.5)),
+        1,
+    ),
+    "gegenbauer(1.5)/exp-bounded": (replace(legendre_spec(), family=gegenbauer(1.5)), 1),
+}
+
+
+@pytest.mark.parametrize("xi_mode", XI_MODES)
+@pytest.mark.parametrize("name", sorted(FACTOR_SPECS))
+def test_p2_factor_norm_matches_grid_norm(name, xi_mode):
+    (spec, model_n), paths, seed = FACTOR_SPECS[name], 2 * _CHUNK_PATHS + 3, 99
+    grid = np.linspace(0.0, spec.horizon, 257)
+    w = simpson_weights(grid)
+    deviation = _deviation(spec, model_n, grid)
+    values, weights = process._gate_operands(deviation, w, 2.0)
+    count = deviation.shape[0]
+    assert values.shape == (count, count)
+    np.testing.assert_array_equal(weights, np.ones(count))
+
+    def engine_norms(table, norm):
+        chunks = _path_chunks(spec, table, paths, seed, xi_mode)
+        return np.concatenate([norm(chunk) for chunk in chunks])
+
+    factor = engine_norms(values, lambda chunk: _lp_norms_inplace(chunk, weights, 2.0))
+    on_grid = engine_norms(deviation, lambda chunk: lp_norm(chunk, grid, 2.0))
+    xi_norms = engine_norms(np.eye(count), lambda chunk: np.linalg.norm(chunk, axis=1))
+    # With A = D diag(sqrt(w)), Householder QR returns the exact R of
+    # A^T + E with |E|_F <= c G (K + 1) eps |A|_F for a small constant c
+    # (Higham, Accuracy and Stability, Thm 19.4), so |R xi| moves by at most
+    # |E|_F |xi|. Synthesizing R xi or D^T xi adds (K + 1) eps |A|_F |xi| on
+    # each side (Cauchy-Schwarz), and the grid's squares, Simpson sum and
+    # root (G + 2) eps of its norm, itself at most |A|_F |xi|. With c = 4,
+    # 4 (G + 2)(K + 3) eps |A|_F |xi| covers all of it.
+    a_norm = np.linalg.norm(deviation * np.sqrt(w))
+    tol = 4.0 * (grid.size + 2) * (count + 2) * EPS * a_norm * xi_norms
+    assert np.all(np.abs(factor - on_grid) <= tol)
+
+    delta = float(np.median(on_grid))
+    report = verify_reliability(spec, model_n, delta, 0.5, paths=paths, seed=seed, xi_mode=xi_mode)
+    assert report.exceedances == int(np.sum(factor > delta))
+    # the grid path's count, but for paths within the tolerance of delta
+    near = np.abs(on_grid - delta) <= tol
+    above = on_grid > delta
+    assert np.sum(above & ~near) <= report.exceedances <= np.sum(above | near)
+
+
+@pytest.mark.parametrize("p", (1.0, 1.5, 3.0))
+def test_other_p_gate_the_grid_norm(p):
+    spec, paths, seed = legendre_spec(p=p), 2 * _CHUNK_PATHS + 3, 5
+    grid = np.linspace(0.0, spec.horizon, 257)
+    w = simpson_weights(grid)
+    deviation = _deviation(spec, 1, grid)
+    values, weights = process._gate_operands(deviation, w, p)
+    assert values is deviation and weights is w
+    chunks = _path_chunks(spec, deviation, paths, seed, "norm-decaying")
+    norms = np.concatenate([lp_norm(chunk, grid, p) for chunk in chunks])
+    delta = float(np.median(norms))
+    report = verify_reliability(spec, 1, delta, 0.5, paths=paths, seed=seed)
+    assert report.exceedances == int(np.sum(norms > delta))
 
 
 def test_verify_refuses_gamma_below_two():

@@ -67,6 +67,71 @@ def test_against_scipy_roots_legendre(n):
     np.testing.assert_allclose(rule.weights, w, rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 19, 20, 255, 256, 512, 4096))
+def test_nodes_against_scipy_roots_legendre(n):
+    special = pytest.importorskip("scipy.special")
+    x, _ = special.roots_legendre(n)
+    np.testing.assert_allclose(gauss_legendre_rule(n).nodes, x, rtol=0.0, atol=1e-13)
+
+
+def _mp_rule_point(mpmath, n, x0):
+    """Gauss-Legendre node and weight next to x0: Newton on the Legendre
+    recurrence in mpmath's working precision."""
+    x = mpmath.mpf(float(x0))
+    while True:
+        pkm1, pk = mpmath.mpf(1), x
+        for j in range(1, n):
+            pkm1, pk = pk, ((2 * j + 1) * x * pk - j * pkm1) / (j + 1)
+        dpn = n * (pkm1 - x * pk) / (1 - x * x)
+        dx = pk / dpn
+        x -= dx
+        if abs(dx) < mpmath.mpf(10) ** -30:
+            return x, 2 / ((1 - x * x) * dpn * dpn)
+
+
+@pytest.mark.parametrize("n", (256, 512))
+def test_weights_against_mpmath_oracle(n):
+    # scipy cannot be the weight oracle: against this one its endpoint
+    # weights are off by 1.3e-10 (n = 256), 1.5e-9 (n = 512) and 2e-7
+    # (n = 4096) relative. Those weights are 1e-4 to 4e-7, so the errors sit
+    # below the atol = 1e-13 that the scipy comparison above can use.
+    mpmath = pytest.importorskip("mpmath")
+    rule = gauss_legendre_rule(n)
+    outermost = (*range(8), *range(n - 8, n))
+    with mpmath.workdps(40):
+        for i in (*outermost, n // 4, n // 3, n // 2 - 1, n // 2):
+            x, w = _mp_rule_point(mpmath, n, rule.nodes[i])
+            assert abs(rule.nodes[i] - x) <= 1e-15
+            assert abs(rule.weights[i] - w) <= 1e-11 * w
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 19, 20, 21, 255, 256, 512, 4096))
+def test_newton_takes_at_most_three_passes_over_half_the_nodes(monkeypatch, n):
+    sizes = []
+    original = quadrature.legendre_pair
+
+    def counting(degree, x):
+        sizes.append(len(x))
+        return original(degree, x)
+
+    monkeypatch.setattr(quadrature, "legendre_pair", counting)
+    x, w = quadrature._gauss_legendre_raw.__wrapped__(n)  # bypass the cache
+    assert 1 <= len(sizes) <= (3 if n >= 20 else 4)
+    assert set(sizes) == {(n + 1) // 2}
+    # mirrored halves, an exact middle root for odd n
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+
+
+def test_newton_cap_still_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NEWTON_MAX_ITER", 1)
+    for n in (2, 20, 256):
+        with pytest.raises(ConvergenceError):
+            quadrature._gauss_legendre_raw.__wrapped__(n)
+
+
 def test_cached_rule_arrays_are_read_only():
     rule = gauss_legendre_rule(12)
     assert gauss_legendre_rule(12).nodes is rule.nodes
