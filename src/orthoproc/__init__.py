@@ -17,7 +17,6 @@ from .bounds import (
     gf_square_integral,
     gf_square_integral_oracle,
     select_N,
-    tail_norm_bound,
     tail_weights,
     tau_bound,
 )
@@ -32,17 +31,12 @@ from .errors import (
 from .orlicz import (
     OrliczSpec,
     TailBoundSpec,
-    phi,
-    phi_inverse,
-    tau_phi_gaussian,
     threshold_accuracy,
     threshold_reliability,
 )
 from .orthopoly import (
     MAX_DEGREE,
     PolynomialFamily,
-    eval_orthonormal,
-    eval_poly,
     gegenbauer,
     gegenbauer_norm_squared,
     generating_function,
@@ -76,7 +70,6 @@ from .quadrature import (
     lp_norm,
     rule_for_family,
     semi_infinite_rule,
-    simpson_rule,
     simpson_weights,
 )
 from .specfun import (

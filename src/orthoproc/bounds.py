@@ -27,13 +27,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .orlicz import TailBoundSpec, threshold_accuracy, threshold_reliability
-from .orthopoly import MAX_DEGREE, PolynomialFamily
+from .orthopoly import MAX_DEGREE, PolynomialFamily, _check_w
 from .quadrature import (
     cosine_mapped_rule,
     gauss_legendre_rule,
@@ -107,12 +107,6 @@ def tail_weights(family: PolynomialFamily, tb: TailBoundSpec, k_max: int) -> np.
     return np.array([tau_bound(family, tb, k) for k in range(k_max + 1)])
 
 
-def _check_gf_w(w: float) -> float:
-    if not (0.0 < w < 1.0):
-        raise DomainError(f"w must lie strictly inside (0, 1), got {w}")
-    return float(w)
-
-
 def gf_square_integral(family: PolynomialFamily, w: float) -> float:
     """Integral of the squared generating function over the family domain.
 
@@ -121,7 +115,7 @@ def gf_square_integral(family: PolynomialFamily, w: float) -> float:
     sqrt(pi) Gamma(a+1/2) (1+w^2)^{-2a} 2F1~(a, a+1/2; a+1; 4w^2/(1+w^2)^2)
     with 2F1~ the regularized Gauss hypergeometric function.
     """
-    w = _check_gf_w(w)
+    w = _check_w(w)
     if family.kind == "legendre":
         return math.log((1.0 + w) / (1.0 - w)) / w
     a = family.alpha
@@ -140,7 +134,7 @@ def gf_square_integral_oracle(family: PolynomialFamily, w: float, n_nodes: int =
     exponential on the mapped semi-infinite rule; Gegenbauer integrates
     (1 - l^2)^{a - 1/2} (1 - 2*l*w + w^2)^{-2a} on the cosine-mapped rule.
     """
-    w = _check_gf_w(w)
+    w = _check_w(w)
     if family.kind == "legendre":
         rule = gauss_legendre_rule(n_nodes)
         return integrate(rule, lambda lam: 1.0 / (1.0 - 2.0 * lam * w + w * w))
@@ -165,30 +159,6 @@ def gf_square_integral_oracle(family: PolynomialFamily, w: float, n_nodes: int =
             return alg * (1.0 - 2.0 * lam * w + w * w) ** (-2.0 * a)
 
     return integrate(rule, g)
-
-
-def tail_norm_bound(
-    family: PolynomialFamily,
-    tb: TailBoundSpec,
-    kernel_energy_at_t: float,
-    approx_coeffs: Sequence[float],
-) -> float:
-    """Certified bound on the deviation norm of the discarded tail at one t.
-
-    max(0, tau sqrt(E(t)) sqrt(I(w)) - sum_k tau_bound(k) ahat_k(t)) over the
-    supplied coefficients ahat_0(t)..ahat_N(t).
-
-    Raises:
-        DomainError: if kernel_energy_at_t < 0.
-    """
-    if kernel_energy_at_t < 0.0:
-        raise DomainError(f"kernel energy must be >= 0, got {kernel_energy_at_t}")
-    coeffs = np.asarray(approx_coeffs, dtype=float).reshape(-1, 1)
-    if coeffs.size == 0:  # an empty retained sum is one zero coefficient
-        coeffs = np.zeros((1, 1))
-    weights = tail_weights(family, tb, coeffs.shape[0] - 1)
-    brackets = _brackets(tb, gf_square_integral(family, tb.w), kernel_energy_at_t, weights, coeffs)
-    return max(0.0, float(brackets[-1, 0]))
 
 
 def _brackets(
@@ -224,11 +194,6 @@ class BoundReport:
     gf_integral_value: float
     gf_integral_oracle: float
 
-    CSV_HEADER = (
-        "family,N,C_N,threshold_rel,threshold_acc,pass_rel,pass_acc,"
-        "clamped_fraction,gf_integral_value,gf_integral_oracle"
-    )
-
     def as_json_dict(self) -> dict:
         return {
             "family": self.family.label,
@@ -242,16 +207,6 @@ class BoundReport:
             "gf_integral_value": self.gf_integral_value,
             "gf_integral_oracle": self.gf_integral_oracle,
         }
-
-    def csv_row(self) -> str:
-        cells = [self.family.label, str(self.n)]
-        for x in (self.c_n, self.threshold_rel, self.threshold_acc):
-            cells.append(format(x, ".17g"))
-        cells.append("true" if self.pass_rel else "false")
-        cells.append("true" if self.pass_acc else "false")
-        for x in (self.clamped_fraction, self.gf_integral_value, self.gf_integral_oracle):
-            cells.append(format(x, ".17g"))
-        return ",".join(cells)
 
 
 @dataclass(frozen=True)

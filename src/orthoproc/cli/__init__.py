@@ -22,14 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ..bounds import BoundReport, Resolution, c_n_bound, check_conditions, select_N
+from ..bounds import Resolution, SelectionResult, c_n_bound, check_conditions, select_N
 from ..errors import ConfigError, DomainError
 from ..orlicz import OrliczSpec, TailBoundSpec
 from ..orthopoly import (
+    MAX_DEGREE,
     PolynomialFamily,
-    eval_orthonormal,
-    eval_poly,
+    _poly_block,
     generating_function,
+    orthonormal_block,
     partial_gf_sum,
 )
 from ..process import (
@@ -124,7 +125,7 @@ _VALIDATORS = {
     "oracle_nodes": lambda k, v: _want_int(k, v, 1, 4096),
     "reference_n": lambda k, v: _want_int(k, v, 0),
     "workers": lambda k, v: _want_int(k, v, 1),
-    "table_k_max": lambda k, v: _want_int(k, v, 0),
+    "table_k_max": lambda k, v: _want_int(k, v, 0, MAX_DEGREE),
     "table_points": lambda k, v: _want_int(k, v, 2),
 }
 
@@ -229,10 +230,36 @@ def _write_json(path: Path, obj) -> None:
     _write_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _emit_bound_report(report: BoundReport, out_dir: Path) -> None:
-    _write_json(out_dir / "report.json", report.as_json_dict())
-    _write_atomic(out_dir / "report.csv", BoundReport.CSV_HEADER + "\n" + report.csv_row() + "\n")
-    print(json.dumps(report.as_json_dict(), indent=2))
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _emit_report(fields: dict, out_dir: Path, extra: dict | None = None) -> None:
+    """Write report.json (fields, then extra) and report.csv (a header of the
+    field names and one row of their values, in order), and print the JSON."""
+    payload = {**fields, **(extra or {})}
+    _write_json(out_dir / "report.json", payload)
+    header = ",".join(fields)
+    row = ",".join(_csv_cell(v) for v in fields.values())
+    _write_atomic(out_dir / "report.csv", f"{header}\n{row}\n")
+    print(json.dumps(payload, indent=2))
+
+
+def _select(spec: ProcessSpec, cfg: dict) -> SelectionResult:
+    """select_N on the config's delta, alpha and n_max; when no order passes,
+    the closest miss goes to stderr."""
+    result = select_N(spec, cfg["delta"], cfg["alpha"], cfg["n_max"], resolution=_resolution(cfg))
+    if result.selected_n is None:
+        print(
+            f"no N in [0, {cfg['n_max']}] meets the conditions; "
+            f"best C_N = {result.best_c_n:.6g} at N = {result.best_n}",
+            file=sys.stderr,
+        )
+    return result
 
 
 def cmd_bound(cfg: dict, out_dir: Path) -> int:
@@ -240,17 +267,14 @@ def cmd_bound(cfg: dict, out_dir: Path) -> int:
     _require(cfg, "bound", "delta", "alpha", "n")
     spec = _process_spec(cfg, "bound")
     report = c_n_bound(spec, cfg["n"], cfg["delta"], cfg["alpha"], resolution=_resolution(cfg))
-    _emit_bound_report(report, out_dir)
+    _emit_report(report.as_json_dict(), out_dir)
     return 0 if check_conditions(report) else 2
 
 
 def cmd_select_n(cfg: dict, out_dir: Path) -> int:
     """Scan for the smallest passing order; exit 2 when none exists."""
     _require(cfg, "select-n", "delta", "alpha")
-    spec = _process_spec(cfg, "select-n")
-    result = select_N(
-        spec, cfg["delta"], cfg["alpha"], cfg["n_max"], resolution=_resolution(cfg)
-    )
+    result = _select(_process_spec(cfg, "select-n"), cfg)
     if result.selected_n is None:
         _write_json(
             out_dir / "report.json",
@@ -261,19 +285,8 @@ def cmd_select_n(cfg: dict, out_dir: Path) -> int:
                 "best_C_N": result.best_c_n,
             },
         )
-        print(
-            f"no N in [0, {cfg['n_max']}] meets the conditions; "
-            f"best C_N = {result.best_c_n:.6g} at N = {result.best_n}",
-            file=sys.stderr,
-        )
         return 2
-    payload = result.report.as_json_dict()
-    payload["selected_N"] = result.selected_n
-    _write_json(out_dir / "report.json", payload)
-    _write_atomic(
-        out_dir / "report.csv", BoundReport.CSV_HEADER + "\n" + result.report.csv_row() + "\n"
-    )
-    print(json.dumps(payload, indent=2))
+    _emit_report(result.report.as_json_dict(), out_dir, {"selected_N": result.selected_n})
     return 0
 
 
@@ -311,15 +324,8 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     if "n" in cfg:
         model_n = cfg["n"]
     else:
-        result = select_N(
-            spec, cfg["delta"], cfg["alpha"], cfg["n_max"], resolution=_resolution(cfg)
-        )
+        result = _select(spec, cfg)
         if result.selected_n is None:
-            print(
-                f"no N in [0, {cfg['n_max']}] meets the conditions; "
-                f"best C_N = {result.best_c_n:.6g} at N = {result.best_n}",
-                file=sys.stderr,
-            )
             return 2
         model_n = result.selected_n
     report = verify_reliability(
@@ -335,12 +341,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         reference_nodes=cfg["reference_spectral_nodes"],
         time_grid_points=cfg["time_grid_points"],
     )
-    _write_json(out_dir / "report.json", report.as_json_dict())
-    _write_atomic(
-        out_dir / "report.csv",
-        report.CSV_HEADER + "\n" + report.csv_row() + "\n",
-    )
-    print(json.dumps(report.as_json_dict(), indent=2))
+    _emit_report(report.as_json_dict(), out_dir)
     return 0 if report.empirical_prob <= report.alpha else 2
 
 
@@ -357,26 +358,21 @@ def cmd_tables(cfg: dict, out_dir: Path) -> int:
     family = _family(cfg)
     grid = _table_grid(family, cfg["table_points"])
     k_max = cfg["table_k_max"]
+    ortho = orthonormal_block(family, k_max, grid).tolist()
+    poly = _poly_block(family, k_max, grid).tolist()
+    ts = [format(t, ".17g") for t in grid.tolist()]
     lines = ["family,k,t,poly,orthonormal"]
     for k in range(k_max + 1):
-        for t in grid:
-            p = eval_poly(family, k, float(t))
-            o = eval_orthonormal(family, k, float(t))
-            lines.append(
-                f"{family.label},{k},{format(float(t), '.17g')},"
-                f"{format(p, '.17g')},{format(o, '.17g')}"
-            )
+        for t, p, o in zip(ts, poly[k], ortho[k]):
+            lines.append(f"{family.label},{k},{t},{p:.17g},{o:.17g}")
     _write_atomic(out_dir / "tables.csv", "\n".join(lines) + "\n")
 
     w = cfg["w"]
+    gf = generating_function(family, grid, w).tolist()
+    partial = partial_gf_sum(family, grid, w, k_max).tolist()
     gf_lines = ["family,t,w,generating_function,partial_sum"]
-    for t in grid:
-        g = generating_function(family, float(t), w)
-        s = partial_gf_sum(family, float(t), w, k_max)
-        gf_lines.append(
-            f"{family.label},{format(float(t), '.17g')},{format(w, '.17g')},"
-            f"{format(g, '.17g')},{format(s, '.17g')}"
-        )
+    for t, g, s in zip(ts, gf, partial):
+        gf_lines.append(f"{family.label},{t},{w:.17g},{g:.17g},{s:.17g}")
     _write_atomic(out_dir / "gf.csv", "\n".join(gf_lines) + "\n")
     return 0
 

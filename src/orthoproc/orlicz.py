@@ -1,4 +1,4 @@
-"""Orlicz generator, sub-Gaussian norm helpers, and decision thresholds.
+"""Orlicz generator and envelope parameters, and the decision thresholds.
 
 The generator is the power family: phi(t) = |t|^gamma / gamma for
 1 < gamma <= 2, switching to the piecewise form (t^2/gamma inside the unit
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedRegimeError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,6 @@ class OrliczSpec:
         """Conjugate exponent gamma/(gamma - 1)."""
         return self.gamma / (self.gamma - 1.0)
 
-    @property
-    def piecewise(self) -> bool:
-        """True when the generator uses the quadratic core (gamma > 2)."""
-        return self.gamma > 2.0
-
 
 @dataclass(frozen=True)
 class TailBoundSpec:
@@ -48,49 +43,6 @@ class TailBoundSpec:
             raise DomainError(f"tau must be a finite number > 0, got {self.tau}")
         if not (0.0 < self.w < 1.0):
             raise DomainError(f"w must lie strictly inside (0, 1), got {self.w}")
-
-
-def phi(t: float, spec: OrliczSpec) -> float:
-    """Generator value at t."""
-    a = abs(t)
-    g = spec.gamma
-    if spec.piecewise and a < 1.0:
-        return a * a / g
-    return a**g / g
-
-
-def phi_inverse(y: float, spec: OrliczSpec) -> float:
-    """Inverse of the generator on t >= 0.
-
-    Raises:
-        DomainError: if y < 0.
-    """
-    if y < 0.0:
-        raise DomainError(f"phi_inverse needs y >= 0, got {y}")
-    g = spec.gamma
-    if spec.piecewise:
-        r = math.sqrt(g * y)
-        return r if r < 1.0 else (g * y) ** (1.0 / g)
-    return (g * y) ** (1.0 / g)
-
-
-def tau_phi_gaussian(sigma: float, spec: OrliczSpec) -> float:
-    """phi-sub-Gaussian norm of a centered Gaussian with deviation sigma.
-
-    Only the quadratic generator admits the closed form (the norm equals
-    sigma); other gamma values have no closed form here.
-
-    Raises:
-        UnsupportedRegimeError: if gamma != 2.
-        DomainError: if sigma < 0.
-    """
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    if spec.gamma != 2.0:
-        raise UnsupportedRegimeError(
-            f"closed-form Gaussian norm is only available for gamma = 2, got gamma = {spec.gamma}"
-        )
-    return sigma
 
 
 def threshold_reliability(delta: float, alpha: float, spec: OrliczSpec, p: float) -> float:

@@ -120,17 +120,6 @@ def _degree_one(family: PolynomialFamily, t):
     return 2.0 * family.alpha * t
 
 
-def _poly_rolling(family: PolynomialFamily, k: int, t: np.ndarray) -> np.ndarray:
-    """Unnormalized polynomial of degree k at points t, O(1) memory in k."""
-    pkm1 = np.ones_like(t)
-    if k == 0:
-        return pkm1
-    pk = _degree_one(family, t)
-    for j in range(1, k):
-        pkm1, pk = pk, _recurrence_step(family, j, t, pk, pkm1)
-    return pk
-
-
 def _poly_block(family: PolynomialFamily, k_max: int, t: np.ndarray) -> np.ndarray:
     """All unnormalized polynomials of degree 0..k_max at points t, stacked."""
     out = np.empty((k_max + 1,) + t.shape, dtype=float)
@@ -261,40 +250,10 @@ def orthonormal_block(family: PolynomialFamily, k_max: int, t: np.ndarray) -> np
     return block
 
 
-def eval_poly(family: PolynomialFamily, k: int, t):
-    """Unnormalized family polynomial of degree k at t (scalar or array)."""
-    _check_degree(k)
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_points(family, arr)
-    val = _poly_rolling(family, k, arr)
-    return float(val[0]) if np.isscalar(t) or np.ndim(t) == 0 else val
-
-
-def eval_orthonormal(family: PolynomialFamily, k: int, t):
-    """Weight-embedded orthonormal function of degree k at t.
-
-    The embedded functions satisfy integral(g_j g_k) = delta_jk over the
-    family domain under the plain Lebesgue measure.
-
-    Raises:
-        DomainError: for points outside the domain, or on the singular
-            boundary points (t = 0 with Laguerre alpha < 0, |t| = 1 with
-            Gegenbauer alpha < 1/2).
-        OverflowError: if a normalization exponent leaves double range.
-    """
-    _check_degree(k)
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_points(family, arr)
-    factor, mask, t_safe = _half_weight(family, arr, k)
-    val = _poly_rolling(family, k, t_safe) * factor * _scale(family, k)
-    if mask is not None and np.any(mask):
-        val = np.where(mask, 0.0, val)
-    return float(val[0]) if np.isscalar(t) or np.ndim(t) == 0 else val
-
-
-def _check_w(w: float) -> None:
+def _check_w(w: float) -> float:
     if not (0.0 < w < 1.0):
         raise DomainError(f"generating-function argument w must be in (0, 1), got {w}")
+    return float(w)
 
 
 def generating_function(family: PolynomialFamily, t, w: float):
@@ -318,14 +277,10 @@ def partial_gf_sum(family: PolynomialFamily, t, w: float, k_max: int):
     _check_degree(k_max)
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_points(family, arr)
-    total = np.ones_like(arr)
-    if k_max >= 1:
-        pkm1 = np.ones_like(arr)
-        pk = _degree_one(family, arr)
-        total = total + w * pk
-        wk = w
-        for j in range(1, k_max):
-            pkm1, pk = pk, _recurrence_step(family, j, arr, pk, pkm1)
-            wk *= w
-            total += wk * pk
+    block = _poly_block(family, k_max, arr)
+    total = block[0].copy()
+    wk = 1.0
+    for row in block[1:]:
+        wk *= w
+        total += wk * row
     return float(total[0]) if np.isscalar(t) or np.ndim(t) == 0 else total

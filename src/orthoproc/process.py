@@ -170,7 +170,6 @@ class CoefficientTable:
     n: int
     time_grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    quadrature_nodes_used: int = 0
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.time_grid, dtype=float)
@@ -183,14 +182,6 @@ class CoefficientTable:
             raise DomainError("coefficient table contains non-finite entries")
         object.__setattr__(self, "time_grid", grid)
         object.__setattr__(self, "values", values)
-
-    def as_json_dict(self) -> dict:
-        return {
-            "N": self.n,
-            "time_grid": self.time_grid.tolist(),
-            "values": self.values.tolist(),
-            "quadrature_nodes_used": self.quadrature_nodes_used,
-        }
 
 
 def compute_coefficients(
@@ -219,7 +210,7 @@ def compute_coefficients(
         raise DomainError("kernel.evaluate must return one row per time grid point")
     basis *= rule.weights
     values = np.ascontiguousarray((kernel_values @ basis.T).T)
-    return CoefficientTable(int(n), time_grid, values, rule.nodes.size)
+    return CoefficientTable(int(n), time_grid, values)
 
 
 def synthesize_path(table: CoefficientTable | np.ndarray, xi) -> np.ndarray:
@@ -336,8 +327,6 @@ class VerificationReport:
     xi_mode: str
     seed: int
 
-    CSV_HEADER = "paths,exceedances,empirical_prob,alpha,delta,reference_N,model_N,xi_mode,seed"
-
     def as_json_dict(self) -> dict:
         return {
             "paths": self.paths,
@@ -350,21 +339,6 @@ class VerificationReport:
             "xi_mode": self.xi_mode,
             "seed": self.seed,
         }
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.paths),
-                str(self.exceedances),
-                format(self.empirical_prob, ".17g"),
-                format(self.alpha, ".17g"),
-                format(self.delta, ".17g"),
-                str(self.reference_n),
-                str(self.model_n),
-                self.xi_mode,
-                str(self.seed),
-            ]
-        )
 
 
 def _check_xi_law(spec: ProcessSpec) -> None:

@@ -36,8 +36,8 @@ class QuadratureRule:
     """Fixed nodes and weights targeting one integration domain.
 
     Attributes:
-        kind: rule identifier ("gauss-legendre", "semi-infinite",
-            "cosine-mapped", "simpson").
+        kind: rule identifier ("gauss-legendre", "semi-infinite" or
+            "cosine-mapped").
         nodes: strictly increasing evaluation points inside target_domain.
         weights: positive weights, same length as nodes.
         target_domain: (lo, hi) the rule integrates over; hi may be inf.
@@ -184,14 +184,6 @@ def cosine_mapped_rule(n: int) -> QuadratureRule:
     wt = 0.5 * math.pi * w * np.sin(theta)
     order = np.argsort(t)
     return QuadratureRule("cosine-mapped", t[order], wt[order])
-
-
-def simpson_rule(a: float, b: float, n_points: int) -> QuadratureRule:
-    """Composite Simpson rule on [a, b] with an odd number of points."""
-    if not (b > a):
-        raise DomainError(f"simpson_rule needs b > a, got [{a}, {b}]")
-    nodes = np.linspace(a, b, _checked_odd(n_points))
-    return QuadratureRule("simpson", nodes, simpson_weights(nodes), (a, b))
 
 
 def _checked_odd(n_points: int) -> int:

@@ -29,13 +29,12 @@ from orthoproc import (
     legendre,
     select_N,
     simpson_weights,
-    tail_norm_bound,
     tail_weights,
     tau_bound,
     threshold_accuracy,
     threshold_reliability,
 )
-from orthoproc import bounds, process
+from orthoproc import bounds, cli, process
 
 TB = TailBoundSpec(1.0, 0.5)
 
@@ -144,29 +143,45 @@ def test_gf_square_integral_w_guard():
             gf_square_integral(legendre(), w)
 
 
+def legendre_brackets(coeffs, energy=1.0, tb=TB):
+    """Signed tail brackets of a (k, t) coefficient table on the Legendre envelope."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    weights = tail_weights(legendre(), tb, coeffs.shape[0] - 1)
+    return bounds._brackets(tb, gf_square_integral(legendre(), tb.w), energy, weights, coeffs)
+
+
 def test_tail_norm_bound_budget_only():
-    # zero coefficients leave the full budget: sqrt(2 ln 3) at unit energy
-    got = tail_norm_bound(legendre(), TB, 1.0, [0.0, 0.0, 0.0])
-    assert got == pytest.approx(math.sqrt(2.0 * math.log(3.0)), rel=1e-12)
-    assert tail_norm_bound(legendre(), TB, 1.0, []) == pytest.approx(
-        math.sqrt(2.0 * math.log(3.0)), rel=1e-12
-    )
+    # zero coefficients leave the full budget at every order: sqrt(2 ln 3) at unit energy
+    got = legendre_brackets(np.zeros((3, 2)))
+    np.testing.assert_allclose(got, math.sqrt(2.0 * math.log(3.0)), rtol=1e-12)
+    # the budget scales with sqrt(E(t)), one energy per time column
+    got = legendre_brackets(np.zeros((1, 2)), energy=np.array([0.0, 4.0]))
+    assert got[0, 0] == 0.0
+    assert got[0, 1] == pytest.approx(2.0 * math.sqrt(2.0 * math.log(3.0)), rel=1e-12)
 
 
 def test_tail_norm_bound_clamp_and_zero():
-    # spending beyond the budget clamps to zero instead of going negative
-    assert tail_norm_bound(legendre(), TB, 1.0, [100.0]) == 0.0
-    assert tail_norm_bound(legendre(), TB, 0.0, [0.0]) == 0.0
-    with pytest.raises(DomainError):
-        tail_norm_bound(legendre(), TB, -0.5, [0.0])
+    # spending beyond the budget drives the bracket negative ...
+    assert legendre_brackets([[100.0]])[0, 0] < 0.0
+    # ... and C_N clamps it to zero, counting it in clamped_fraction; ahat_0 > 0
+    # everywhere for exp-bounded, so a huge first weight overspends at every t
+    spec = make_spec("exp-bounded", legendre())
+    overspent = c_n_curve(spec, 2, 0.1, 0.05, tail_weight_override=np.array([1e6, 0.0, 0.0]))
+    np.testing.assert_array_equal(overspent.c_n, 0.0)
+    np.testing.assert_array_equal(overspent.clamped_fraction, 1.0)
+    unspent = c_n_curve(spec, 2, 0.1, 0.05, tail_weight_override=np.zeros(3))
+    np.testing.assert_array_equal(unspent.clamped_fraction, 0.0)
+    assert unspent.c_n[0] > 0.0
+    np.testing.assert_array_equal(unspent.c_n, unspent.c_n[0])
 
 
 def test_tail_norm_bound_subtracts_weighted_sum():
-    coeffs = [0.3, 0.1]
     budget = math.sqrt(2.0 * math.log(3.0))
+    got = legendre_brackets([[0.3], [0.1]])[:, 0]
+    # row n subtracts the prefix sum of tau_bound(k) ahat_k over k <= n
+    assert got[0] == pytest.approx(budget - math.sqrt(2.0) * 0.3, rel=1e-12)
     spent = math.sqrt(2.0) * 0.3 + math.sqrt(2.0 / 3.0) * 0.5 * 0.1
-    got = tail_norm_bound(legendre(), TB, 1.0, coeffs)
-    assert got == pytest.approx(budget - spent, rel=1e-12)
+    assert got[1] == pytest.approx(budget - spent, rel=1e-12)
 
 
 def test_tail_norm_bound_matches_direct_sum():
@@ -175,16 +190,17 @@ def test_tail_norm_bound_matches_direct_sum():
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
     @hypothesis.given(
-        coeffs=st.lists(st.floats(-10.0, 10.0), max_size=12),
+        coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12),
         energy=st.floats(0.0, 4.0),
         w=st.floats(0.05, 0.95),
     )
     def check(coeffs, energy, w):
         tb = TailBoundSpec(1.3, w)
         budget = 1.3 * math.sqrt(energy) * math.sqrt(gf_square_integral(legendre(), w))
-        spent = sum(tau_bound(legendre(), tb, k) * c for k, c in enumerate(coeffs))
-        got = tail_norm_bound(legendre(), tb, energy, coeffs)
-        assert got == pytest.approx(max(0.0, budget - spent), rel=1e-12, abs=1e-12)
+        got = legendre_brackets(np.array(coeffs)[:, np.newaxis], energy, tb)[:, 0]
+        for n in range(len(coeffs)):
+            spent = sum(tau_bound(legendre(), tb, k) * c for k, c in enumerate(coeffs[: n + 1]))
+            assert got[n] == pytest.approx(budget - spent, rel=1e-12, abs=1e-12)
 
     check()
 
@@ -510,10 +526,17 @@ def test_curve_cache_keeps_every_error(curve_work):
     assert curve_work["tables"] == 2
 
 
-def test_report_serialization_round_trip():
+def test_report_serialization_round_trip(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"family": "legendre", "kernel": "exp-bounded", "horizon": 1.0, "tau": 1.0, '
+        '"delta": 0.1, "alpha": 0.05, "n": 2}'
+    )
+    assert cli.main(["bound", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     report = c_n_bound(make_spec("exp-bounded", legendre()), 2, 0.1, 0.05)
-    payload = json.loads(json.dumps(report.as_json_dict()))
-    assert set(payload) == {
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload == json.loads(capsys.readouterr().out)
+    assert list(payload) == [
         "family",
         "N",
         "C_N",
@@ -524,16 +547,17 @@ def test_report_serialization_round_trip():
         "clamped_fraction",
         "gf_integral_value",
         "gf_integral_oracle",
-    }
-    assert payload["family"] == "legendre"
-    assert payload["C_N"] == report.c_n
+    ]
+    assert payload == report.as_json_dict()
 
-    header = BoundReport.CSV_HEADER.split(",")
-    row = report.csv_row().split(",")
-    assert len(header) == len(row) == 10
+    # report.csv is the report.json fields in order, one row
+    header, row = (line.split(",") for line in (tmp_path / "report.csv").read_text().splitlines())
+    assert header == list(payload)
     # 17 significant digits round-trip exactly
+    assert row[header.index("C_N")] == format(report.c_n, ".17g")
     assert float(row[header.index("C_N")]) == report.c_n
-    assert row[header.index("pass_rel")] in ("true", "false")
+    assert row[header.index("N")] == "2"
+    assert row[header.index("pass_rel")] == "true"
 
 
 def test_resolution_validation():

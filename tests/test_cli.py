@@ -118,7 +118,10 @@ def test_select_n_finds_order(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["selected_N"] == 1
     assert report["N"] == 1
-    assert (out / "report.csv").exists()
+    # selected_N is appended to the JSON only; the CSV holds the bound fields
+    assert list(report)[-1] == "selected_N"
+    header = (out / "report.csv").read_text().splitlines()[0]
+    assert header.split(",") == list(report)[:-1]
 
 
 def test_select_n_exhausted(tmp_path, capsys):
@@ -299,6 +302,107 @@ def test_tables_gegenbauer_half_matches_legendre(tmp_path):
     for a, b in zip(leg, geg):
         pa, pb = float(a.split(",")[3]), float(b.split(",")[3])
         assert pa == pytest.approx(pb, abs=1e-10)
+
+
+# tables.csv and gf.csv at the defaults (table_k_max 3, table_points 5, w 0.5),
+# pinned byte for byte, -0 cells at t = 0 included
+TABLES_GOLDEN = {
+    "legendre": (
+        "family,k,t,poly,orthonormal\n"
+        "legendre,0,-0.90000000000000002,1,0.70710678118654757\n"
+        "legendre,0,-0.45000000000000001,1,0.70710678118654757\n"
+        "legendre,0,0,1,0.70710678118654757\n"
+        "legendre,0,0.45000000000000007,1,0.70710678118654757\n"
+        "legendre,0,0.90000000000000002,1,0.70710678118654757\n"
+        "legendre,1,-0.90000000000000002,-0.90000000000000002,-1.1022703842524302\n"
+        "legendre,1,-0.45000000000000001,-0.45000000000000001,-0.55113519212621509\n"
+        "legendre,1,0,0,0\n"
+        "legendre,1,0.45000000000000007,0.45000000000000007,0.55113519212621509\n"
+        "legendre,1,0.90000000000000002,0.90000000000000002,1.1022703842524302\n"
+        "legendre,2,-0.90000000000000002,0.71500000000000008,1.1305142635101959\n"
+        "legendre,2,-0.45000000000000001,-0.19624999999999998,-0.31029849540402221\n"
+        "legendre,2,0,-0.5,-0.79056941504209488\n"
+        "legendre,2,0.45000000000000007,-0.19624999999999992,-0.3102984954040221\n"
+        "legendre,2,0.90000000000000002,0.71500000000000008,1.1305142635101959\n"
+        "legendre,3,-0.90000000000000002,-0.47250000000000009,-0.88396655762534382\n"
+        "legendre,3,-0.45000000000000001,0.44718750000000002,0.836611206323986\n"
+        "legendre,3,0,-0,-0\n"
+        "legendre,3,0.45000000000000007,-0.44718750000000002,-0.836611206323986\n"
+        "legendre,3,0.90000000000000002,0.47250000000000009,0.88396655762534382\n",
+        "family,t,w,generating_function,partial_sum\n"
+        "legendre,-0.90000000000000002,0.5,0.6819943394704735,0.66968749999999999\n"
+        "legendre,-0.45000000000000001,0.5,0.76696498884737041,0.78183593750000002\n"
+        "legendre,0,0.5,0.89442719099991586,0.875\n"
+        "legendre,0.45000000000000007,0.5,1.1180339887498949,1.1200390625000001\n"
+        "legendre,0.90000000000000002,0.5,1.6903085094570331,1.6878124999999999\n",
+    ),
+    "gegenbauer(alpha=-0.3)": (
+        "family,k,t,poly,orthonormal\n"
+        "gegenbauer(alpha=-0.3),0,-0.90000000000000002,1,0.77608884320714155\n"
+        "gegenbauer(alpha=-0.3),0,-0.45000000000000001,1,0.43724072314039919\n"
+        "gegenbauer(alpha=-0.3),0,0,1,0.39940443280085086\n"
+        "gegenbauer(alpha=-0.3),0,0.45000000000000007,1,0.43724072314039919\n"
+        "gegenbauer(alpha=-0.3),0,0.90000000000000002,1,0.77608884320714155\n"
+        "gegenbauer(alpha=-0.3),1,-0.90000000000000002,0.54000000000000004,0.82645263273364966\n"
+        "gegenbauer(alpha=-0.3),1,-0.45000000000000001,0.27000000000000002,0.23280759022668976\n"
+        "gegenbauer(alpha=-0.3),1,0,-0,-0\n"
+        "gegenbauer(alpha=-0.3),1,0.45000000000000007,-0.27000000000000002,-0.23280759022668976\n"
+        "gegenbauer(alpha=-0.3),1,0.90000000000000002,-0.54000000000000004,-0.82645263273364966\n"
+        "gegenbauer(alpha=-0.3),2,-0.90000000000000002,-0.040200000000000014,-0.21439305045223361\n"
+        "gegenbauer(alpha=-0.3),2,-0.45000000000000001,0.21494999999999997,0.64584940476922714\n"
+        "gegenbauer(alpha=-0.3),2,0,0.29999999999999999,0.82339333188891017\n"
+        "gegenbauer(alpha=-0.3),2,0.45000000000000007,0.21494999999999997,0.64584940476922714\n"
+        "gegenbauer(alpha=-0.3),2,0.90000000000000002,-0.040200000000000014,-0.21439305045223361\n"
+        "gegenbauer(alpha=-0.3),3,-0.90000000000000002,-0.030995999999999978,-0.30496102147871668\n"
+        "gegenbauer(alpha=-0.3),3,-0.45000000000000001,-0.14562449999999999,-0.80720211721349033\n"
+        "gegenbauer(alpha=-0.3),3,0,0,0\n"
+        "gegenbauer(alpha=-0.3),3,0.45000000000000007,0.14562450000000002,0.80720211721349044\n"
+        "gegenbauer(alpha=-0.3),3,0.90000000000000002,0.030995999999999978,0.30496102147871668\n",
+        "family,t,w,generating_function,partial_sum\n"
+        "gegenbauer(alpha=-0.3),-0.90000000000000002,0.5,1.258147439148787,1.2560754999999999\n"
+        "gegenbauer(alpha=-0.3),-0.45000000000000001,0.5,1.172558924272542,1.1705344375\n"
+        "gegenbauer(alpha=-0.3),0,0.5,1.0692345999911881,1.075\n"
+        "gegenbauer(alpha=-0.3),0.45000000000000007,0.5,0.93524844782262129,0.93694056250000002\n"
+        "gegenbauer(alpha=-0.3),0.90000000000000002,0.5,0.72982781877669967,0.72382449999999998\n",
+    ),
+}
+
+
+def test_tables_golden_bytes(tmp_path):
+    configs = {
+        "legendre": {},
+        "gegenbauer(alpha=-0.3)": {"family": "gegenbauer", "family_alpha": -0.3},
+    }
+    for label, extra in configs.items():
+        cfg = write_cfg(tmp_path, f"{label}.json", **extra)
+        code, out = run(tmp_path, "tables", cfg, sub=label)
+        assert code == 0
+        tables, gf = TABLES_GOLDEN[label]
+        assert (out / "tables.csv").read_bytes() == tables.encode()
+        assert (out / "gf.csv").read_bytes() == gf.encode()
+
+
+def test_tables_k_max_above_max_degree_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("tables evaluated polynomials before validating table_k_max")
+
+    monkeypatch.setattr(cli, "orthonormal_block", no_work)
+    monkeypatch.setattr(cli, "_poly_block", no_work)
+    cfg = write_cfg(tmp_path, table_k_max=20000)
+    code, out = run(tmp_path, "tables", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "table_k_max" in err and str(orthoproc.MAX_DEGREE) in err
+    assert not out.exists()
+
+
+def test_tables_k_max_at_max_degree_runs(tmp_path):
+    cfg = write_cfg(tmp_path, table_k_max=orthoproc.MAX_DEGREE, table_points=2)
+    code, out = run(tmp_path, "tables", cfg)
+    assert code == 0
+    lines = (out / "tables.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * (orthoproc.MAX_DEGREE + 1)
+    assert lines[-1].startswith(f"legendre,{orthoproc.MAX_DEGREE},")
 
 
 def test_set_override_wins(tmp_path):

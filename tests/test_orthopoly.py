@@ -9,8 +9,6 @@ import pytest
 from orthoproc import (
     MAX_DEGREE,
     DomainError,
-    eval_orthonormal,
-    eval_poly,
     gegenbauer,
     gegenbauer_norm_squared,
     generating_function,
@@ -20,6 +18,7 @@ from orthoproc import (
     orthonormal_block,
     partial_gf_sum,
 )
+from orthoproc.orthopoly import _poly_block
 
 T_GRID = np.linspace(-0.95, 0.95, 9)
 
@@ -54,67 +53,90 @@ def gegenbauer_oracle(alpha, k, t):
 
 
 def test_legendre_low_orders():
-    fam = legendre()
+    block = _poly_block(legendre(), 5, T_GRID)
     for k in range(6):
-        for t in T_GRID:
-            assert eval_poly(fam, k, float(t)) == pytest.approx(legendre_oracle(k, t), abs=1e-14)
+        for t, got in zip(T_GRID, block[k]):
+            assert got == pytest.approx(legendre_oracle(k, t), abs=1e-14)
 
 
 def test_laguerre_low_orders():
+    t_points = np.array([0.2, 1.0, 3.5, 10.0])
     for alpha in (-0.5, 0.0, 1.7):
-        fam = laguerre(alpha)
+        block = _poly_block(laguerre(alpha), 2, t_points)
         for k in range(3):
-            for t in (0.2, 1.0, 3.5, 10.0):
-                assert eval_poly(fam, k, t) == pytest.approx(
-                    laguerre_oracle(alpha, k, t), rel=1e-13, abs=1e-13
-                )
+            for t, got in zip(t_points, block[k]):
+                assert got == pytest.approx(laguerre_oracle(alpha, k, t), rel=1e-13, abs=1e-13)
 
 
 def test_gegenbauer_low_orders():
     for alpha in (-0.3, 0.5, 1.0, 2.3):
-        fam = gegenbauer(alpha)
+        block = _poly_block(gegenbauer(alpha), 3, T_GRID)
         for k in range(4):
-            for t in T_GRID:
-                assert eval_poly(fam, k, float(t)) == pytest.approx(
-                    gegenbauer_oracle(alpha, k, t), rel=1e-13, abs=1e-13
-                )
+            for t, got in zip(T_GRID, block[k]):
+                assert got == pytest.approx(gegenbauer_oracle(alpha, k, t), rel=1e-13, abs=1e-13)
 
 
 def test_spot_values():
-    assert eval_poly(laguerre(0.5), 1, 2.0) == pytest.approx(-0.5, abs=1e-15)
-    assert eval_poly(gegenbauer(0.45), 1, 1.0) == pytest.approx(0.9, abs=1e-15)
+    assert _poly_block(laguerre(0.5), 1, np.array([2.0]))[1, 0] == pytest.approx(-0.5, abs=1e-15)
+    assert _poly_block(gegenbauer(0.45), 1, np.array([1.0]))[1, 0] == pytest.approx(
+        0.9, abs=1e-15
+    )
     # half-integer Gegenbauer reduces to Legendre
-    assert eval_poly(gegenbauer(0.5), 3, 0.4) == pytest.approx(
+    assert _poly_block(gegenbauer(0.5), 3, np.array([0.4]))[3, 0] == pytest.approx(
         legendre_oracle(3, 0.4), abs=1e-14
     )
     # orthonormal Laguerre embeds e^{-t/2}: k=0, alpha=0 at t=2 gives e^{-1}
-    assert eval_orthonormal(laguerre(0.0), 0, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert orthonormal_block(laguerre(0.0), 0, 2.0)[0, 0] == pytest.approx(
+        math.exp(-1.0), rel=1e-14
+    )
     # orthonormal Legendre k=0 is 1/sqrt(2)
-    assert eval_orthonormal(legendre(), 0, 0.123) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+    assert orthonormal_block(legendre(), 0, 0.123)[0, 0] == pytest.approx(
+        1 / math.sqrt(2), rel=1e-15
+    )
 
 
 def test_gegenbauer_half_reduces_to_legendre_everywhere():
-    fam_g, fam_l = gegenbauer(0.5), legendre()
-    for k in (0, 1, 2, 5, 9):
-        got = eval_poly(fam_g, k, T_GRID)
-        want = eval_poly(fam_l, k, T_GRID)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    got = _poly_block(gegenbauer(0.5), 9, T_GRID)
+    want = _poly_block(legendre(), 9, T_GRID)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_orthonormal_block_matches_pointwise():
-    for fam in (legendre(), laguerre(1.7), gegenbauer(1.0)):
-        t = np.linspace(0.3, 0.8, 5) if fam.kind == "laguerre" else np.linspace(-0.8, 0.8, 5)
-        block = orthonormal_block(fam, 4, t)
-        assert block.shape == (5, 5)
-        for k in range(5):
-            np.testing.assert_allclose(block[k], eval_orthonormal(fam, k, t), rtol=1e-13)
+    # each row is the family polynomial times the embedded half weight over
+    # its norm, evaluated point by point from the explicit low-order forms
+    cases = (
+        (
+            legendre(),
+            np.linspace(-0.8, 0.8, 5),
+            lambda k, t: legendre_oracle(k, t) * math.sqrt(k + 0.5),
+        ),
+        (
+            laguerre(1.7),
+            np.linspace(0.3, 0.8, 5),
+            lambda k, t: laguerre_oracle(1.7, k, t)
+            * math.sqrt(t**1.7 * math.exp(-t) * math.factorial(k) / math.gamma(k + 2.7)),
+        ),
+        (
+            gegenbauer(1.0),
+            np.linspace(-0.8, 0.8, 5),
+            lambda k, t: gegenbauer_oracle(1.0, k, t)
+            * math.sqrt((1 - t * t) ** 0.5 / gegenbauer_norm_squared(1.0, k)),
+        ),
+    )
+    for fam, t_points, oracle in cases:
+        block = orthonormal_block(fam, 2, t_points)
+        assert block.shape == (3, 5)
+        for k in range(3):
+            want = [oracle(k, t) for t in t_points]
+            np.testing.assert_allclose(block[k], want, rtol=1e-13)
 
 
 def test_legendre_pair():
     x = np.linspace(-0.9, 0.9, 7)
     pn, pnm1 = legendre_pair(5, x)
-    np.testing.assert_allclose(pn, eval_poly(legendre(), 5, x), rtol=1e-13)
-    np.testing.assert_allclose(pnm1, eval_poly(legendre(), 4, x), rtol=1e-13)
+    block = _poly_block(legendre(), 5, x)
+    np.testing.assert_allclose(pn, block[5], rtol=1e-13)
+    np.testing.assert_allclose(pnm1, block[4], rtol=1e-13)
 
 
 def gegenbauer_norm_oracle(alpha, k):
@@ -172,33 +194,33 @@ def test_partial_gf_spot():
 
 
 def test_high_degree_stays_finite():
-    assert math.isfinite(eval_orthonormal(legendre(), MAX_DEGREE, 0.3))
-    assert math.isfinite(eval_orthonormal(laguerre(1.7), MAX_DEGREE, 5.0))
-    assert math.isfinite(eval_orthonormal(gegenbauer(2.3), 2000, 0.2))
+    assert math.isfinite(orthonormal_block(legendre(), MAX_DEGREE, 0.3)[-1, 0])
+    assert math.isfinite(orthonormal_block(laguerre(1.7), MAX_DEGREE, 5.0)[-1, 0])
+    assert math.isfinite(orthonormal_block(gegenbauer(2.3), 2000, 0.2)[-1, 0])
 
 
 def test_degree_and_domain_errors():
     with pytest.raises(DomainError):
-        eval_poly(legendre(), -1, 0.0)
+        orthonormal_block(legendre(), -1, 0.0)
     with pytest.raises(DomainError):
-        eval_poly(legendre(), MAX_DEGREE + 1, 0.0)
+        orthonormal_block(legendre(), MAX_DEGREE + 1, 0.0)
     with pytest.raises(DomainError):
-        eval_poly(legendre(), 2, 1.5)
+        orthonormal_block(legendre(), 2, 1.5)
     with pytest.raises(DomainError):
-        eval_poly(laguerre(0.0), 2, -0.1)
+        orthonormal_block(laguerre(0.0), 2, -0.1)
     with pytest.raises(DomainError):
-        eval_poly(legendre(), 2, math.nan)
+        orthonormal_block(legendre(), 2, math.nan)
 
 
 def test_weight_edge_errors():
     # negative-exponent weights blow up at the boundary points
     with pytest.raises(DomainError):
-        eval_orthonormal(laguerre(-0.5), 1, 0.0)
+        orthonormal_block(laguerre(-0.5), 1, 0.0)
     with pytest.raises(DomainError):
-        eval_orthonormal(gegenbauer(-0.3), 1, 1.0)
+        orthonormal_block(gegenbauer(-0.3), 1, 1.0)
     # but the plain polynomials are fine there
-    assert math.isfinite(eval_poly(laguerre(-0.5), 1, 0.0))
-    assert math.isfinite(eval_poly(gegenbauer(-0.3), 1, 1.0))
+    assert np.all(np.isfinite(_poly_block(laguerre(-0.5), 1, np.array([0.0]))))
+    assert np.all(np.isfinite(_poly_block(gegenbauer(-0.3), 1, np.array([1.0]))))
 
 
 def test_family_parameter_validation():
@@ -222,8 +244,8 @@ def test_gf_w_validation():
 
 def test_scalar_and_array_round_trip():
     fam = legendre()
-    v = eval_poly(fam, 3, 0.25)
+    v = partial_gf_sum(fam, 0.25, 0.5, 3)
     assert isinstance(v, float)
-    arr = eval_poly(fam, 3, np.array([0.25, 0.5]))
+    arr = partial_gf_sum(fam, np.array([0.25, 0.5]), 0.5, 3)
     assert arr.shape == (2,)
     assert arr[0] == v

@@ -1,6 +1,7 @@
 """Kernels, coefficient tables, path synthesis, xi generation, and the
 Monte Carlo verifier's determinism contract."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -491,16 +492,31 @@ def test_verify_reliability_validation():
             verify_reliability(spec, 1, 0.1, 0.05, paths=10, seed=seed)
 
 
-def test_report_serialization():
-    spec = legendre_spec()
-    report = verify_reliability(spec, 1, 0.1, 0.05, paths=20, seed=5)
+def test_report_serialization(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"family": "legendre", "kernel": "exp-bounded", "horizon": 1.0, "tau": 1.0, '
+        '"delta": 0.1, "alpha": 0.05, "n": 1, "paths": 20, "seed": 5}'
+    )
+    report = verify_reliability(legendre_spec(), 1, 0.1, 0.05, paths=20, seed=5)
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == (0 if report.empirical_prob <= 0.05 else 2)
     payload = report.as_json_dict()
     assert payload["paths"] == 20
     assert payload["model_N"] == 1
     assert payload["reference_N"] == 36
     assert payload["empirical_prob"] == report.exceedances / 20
-    row = report.csv_row().split(",")
-    assert len(row) == len(report.CSV_HEADER.split(",")) == 9
+    assert json.loads((tmp_path / "report.json").read_text()) == payload
+    assert json.loads(capsys.readouterr().out) == payload
+
+    # report.csv is the report.json fields in order, one row
+    header, row = (line.split(",") for line in (tmp_path / "report.csv").read_text().splitlines())
+    assert header == list(payload)
+    assert len(row) == 9
+    assert row[header.index("xi_mode")] == "norm-decaying"
+    assert row[header.index("seed")] == "5"
+    assert row[header.index("delta")] == "0.10000000000000001"  # %.17g, not repr
+    assert float(row[header.index("empirical_prob")]) == report.empirical_prob
 
 
 def test_coefficient_table_validation():
@@ -509,8 +525,7 @@ def test_coefficient_table_validation():
         CoefficientTable(1, grid, np.ones((3, 5)))
     with pytest.raises(DomainError):
         CoefficientTable(1, grid, np.full((2, 5), np.nan))
-    table = CoefficientTable(1, grid, np.ones((2, 5)), 16)
-    assert table.as_json_dict()["quadrature_nodes_used"] == 16
+    CoefficientTable(1, grid, np.ones((2, 5)))
 
 
 def test_compute_coefficients_int_shorthand():
