@@ -336,8 +336,10 @@ def _curve_arrays(
 
     time_grid = np.linspace(0.0, spec.horizon, resolution.time_grid_points)
     rule = rule_for_family(family, resolution.spectral_nodes)
-    table = compute_coefficients(spec, n_max, rule, time_grid)
-    brackets = _brackets(tb, gf_value, spec.kernel.energy_at(time_grid), tw, table.values)
+    # OpenBLAS gives tables of at most 4 rows other last bits, so every curve
+    # reads the leading rows of a table of at least 5
+    table = compute_coefficients(spec, max(n_max, 4), rule, time_grid).values[: n_max + 1]
+    brackets = _brackets(tb, gf_value, spec.kernel.energy_at(time_grid), tw, table)
 
     # a per-row sum, unlike a BLAS matrix-vector product, gives row n the same
     # bits whatever the table's height, so every curve agrees with each

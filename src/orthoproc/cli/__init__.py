@@ -306,10 +306,10 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
         yield "path_id,t,value\n"
         start = 0
         for chunk in _path_chunks(spec, table.values, cfg["paths"], cfg["seed"], cfg["xi_mode"]):
-            yield "".join(
-                template.format(i, *values) for i, values in enumerate(chunk.tolist(), start)
-            )
-            start += len(chunk)
+            for row in chunk:
+                yield template.format(start, *row.tolist())
+                start += 1
+            del chunk, row  # free this chunk before the engine synthesizes the next
 
     _write_atomic(out_dir / "paths.csv", parts())
     return 0

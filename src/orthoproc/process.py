@@ -39,7 +39,7 @@ XI_MODES = ("unit-variance", "norm-decaying")
 
 # paths per engine chunk; a constant so that BLAS blocking, and with it every
 # output bit, depends on nothing but (seed, paths)
-_CHUNK_PATHS = 1024
+_CHUNK_PATHS = 256
 
 
 @dataclass(frozen=True)
@@ -248,9 +248,11 @@ def draw_xi(
 
     "unit-variance" draws standard Gaussians (the uncorrelated-coefficients
     idealization). "norm-decaying" scales them to sigma_k =
-    min(1, tau_bound(k)) so each variable actually satisfies the geometric
-    norm envelope the certificate assumes. The two are mutually
-    inconsistent for w < 1; both are exposed deliberately.
+    min(1, tau_bound(k)). N(0, sigma^2) has phi-sub-Gaussian norm
+    sigma sqrt(gamma/2) for gamma >= 2, so these variables meet the geometric
+    norm envelope the certificate assumes at gamma = 2 only, and exceed it by
+    sqrt(gamma/2) above (ROADMAP.md, open item 10). The two modes are
+    mutually inconsistent for w < 1; both are exposed deliberately.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")

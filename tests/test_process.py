@@ -312,14 +312,51 @@ def test_engine_xi_rows_match_path_rng():
             np.testing.assert_array_equal(_engine_xi(seed, xi_mode, paths, count), expected)
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_engine_xi_rows_independent_of_chunk_size(monkeypatch, chunk):
-    expected = _engine_xi(2**64 - 1, "norm-decaying", 20)
-    monkeypatch.setattr(process, "_CHUNK_PATHS", chunk)
-    np.testing.assert_array_equal(_engine_xi(2**64 - 1, "norm-decaying", 20), expected)
+def _gated_norms(spec, paths, seed):
+    # verify's gated statistic per path, from the engine at its own chunk size
+    grid = np.linspace(0.0, spec.horizon, 257)
+    deviation = _deviation(spec, 1, grid)
+    values, weights = process._gate_operands(deviation, simpson_weights(grid), spec.p)
+    chunks = _path_chunks(spec, values, paths, seed, "norm-decaying")
+    return np.concatenate([_lp_norms_inplace(chunk, weights, spec.p) for chunk in chunks])
 
 
-@pytest.mark.parametrize("paths", [1, 50, 2 * _CHUNK_PATHS + 3])
+def test_engine_is_independent_of_chunk_size():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seed, max_paths = 17, 1600
+    norms = {p: _gated_norms(legendre_spec(p=p), max_paths, seed) for p in (2.0, 3.0)}
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(
+        chunk=st.integers(1, 1500),
+        paths=st.integers(1, max_paths),
+        xi_seed=st.integers(0, 2**64 - 1),
+        xi_mode=st.sampled_from(XI_MODES),
+    )
+    def check(chunk, paths, xi_seed, xi_mode):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(process, "_CHUNK_PATHS", chunk)
+            rows = _engine_xi(xi_seed, xi_mode, paths)
+            counts = {}
+            for p in norms:
+                delta = float(np.median(norms[p][:paths]))
+                spec = legendre_spec(p=p)
+                report = verify_reliability(spec, 1, delta, 0.5, paths=paths, seed=seed)
+                counts[p] = (delta, report.exceedances)
+        expected = [draw_xi(xi_mode, 6, TB, legendre(), path_rng(xi_seed, i)) for i in range(paths)]
+        np.testing.assert_array_equal(rows, np.stack(expected))
+        for p, (delta, exceedances) in counts.items():
+            # the default chunk's count, but for paths within 1e-9 of delta
+            head = norms[p][:paths]
+            near = np.abs(head - delta) <= 1e-9 * delta
+            assert np.sum((head > delta) & ~near) <= exceedances <= np.sum((head > delta) | near)
+
+    check()
+
+
+# 2051 paths fill several chunks and end in a partial one
+@pytest.mark.parametrize("paths", [1, 50, 2051])
 def test_verify_builds_one_philox_per_call(monkeypatch, paths):
     built = []
     philox = np.random.Philox
@@ -333,7 +370,7 @@ def test_verify_builds_one_philox_per_call(monkeypatch, paths):
     assert len(built) <= 1
 
 
-@pytest.mark.parametrize("paths", [1, 50, 2 * _CHUNK_PATHS + 3])
+@pytest.mark.parametrize("paths", [1, 50, 2051])
 def test_verify_synthesizes_once_per_chunk(monkeypatch, paths):
     calls = []
     synthesize = process.synthesize_path
@@ -350,28 +387,8 @@ def test_verify_synthesizes_once_per_chunk(monkeypatch, paths):
 
 def test_verify_memory_stays_near_one_chunk():
     # at p = 3 the engine synthesizes every path on the time grid
-    spec, paths, grid_points = legendre_spec(p=3.0), 2 * 2 * _CHUNK_PATHS, 257
+    spec, paths, grid_points, nodes = legendre_spec(p=3.0), 2 * 2 * _CHUNK_PATHS, 257, 128
     grid = np.linspace(0.0, spec.horizon, grid_points)
-    model = compute_coefficients(spec, 1, 256, grid)
-    reference = compute_coefficients(spec, 36, 512, grid)
-    verify_reliability(spec, 1, 0.1, 0.05, paths=8, seed=1)  # warm the rule caches
-    tracemalloc.start()
-    try:
-        verify_reliability(spec, 1, 0.1, 0.05, paths=paths, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one chunk of deviations is live at a time, next to the chunk's xi rows
-    # and the tables; a per-chunk temporary (a second path stack, a
-    # difference, an |x|^p copy, or the previous chunk kept alive) adds a
-    # second chunk, which with the xi rows passes the bound
-    chunk_bytes = _CHUNK_PATHS * grid_points * 8
-    assert peak <= 2 * chunk_bytes + model.values.nbytes + reference.values.nbytes
-
-
-def test_verify_memory_at_p2_stays_near_one_factor_chunk():
-    spec, paths, nodes = legendre_spec(), 2 * 2 * _CHUNK_PATHS, 64
-    grid = np.linspace(0.0, spec.horizon, 257)
     model = compute_coefficients(spec, 1, nodes, grid)
     reference = compute_coefficients(spec, 36, nodes, grid)
     options = dict(seed=1, model_nodes=nodes, reference_nodes=nodes)
@@ -382,12 +399,75 @@ def test_verify_memory_at_p2_stays_near_one_factor_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # one chunk of deviations is live at a time, next to the chunk's xi rows
+    # and the tables; a per-chunk temporary (a second path stack, a
+    # difference, an |x|^p copy, or the previous chunk kept alive) adds a
+    # second chunk, which with the xi rows passes the bound. 128 nodes keep
+    # the kernel matrix, basis and product of a table build below one chunk
+    chunk_bytes = _CHUNK_PATHS * grid_points * 8
+    assert peak <= 2 * chunk_bytes + model.values.nbytes + reference.values.nbytes
+
+
+def test_verify_memory_at_p2_stays_near_one_factor_chunk():
+    spec, paths, nodes, grid_points = legendre_spec(), 2 * 2 * _CHUNK_PATHS, 16, 129
+    grid = np.linspace(0.0, spec.horizon, grid_points)
+    model = compute_coefficients(spec, 1, nodes, grid)
+    reference = compute_coefficients(spec, 36, nodes, grid)
+    options = dict(seed=1, model_nodes=nodes, reference_nodes=nodes, time_grid_points=grid_points)
+    verify_reliability(spec, 1, 0.1, 0.05, paths=8, **options)  # warm the rule cache
+    tracemalloc.start()
+    try:
+        verify_reliability(spec, 1, 0.1, 0.05, paths=paths, **options)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     # at p = 2 a chunk holds R xi, K + 1 values per path, next to the chunk's
-    # xi rows; 64 nodes keep the kernel matrix of the coefficient tables
-    # below these two buffers. Synthesizing on the 257-point grid again makes
-    # one chunk alone 7 times a factor chunk and fails the bound.
+    # xi rows. 16 nodes keep a table build, and 129 grid points the QR of the
+    # weighted table (two table-sized copies), below these two buffers.
+    # Synthesizing on the grid again makes one chunk alone 3.5 times a factor
+    # chunk and fails the bound.
     chunk_bytes = _CHUNK_PATHS * (reference.n + 1) * 8
     assert peak <= 2 * chunk_bytes + model.values.nbytes + reference.values.nbytes
+
+
+def test_table_build_memory_at_512_nodes():
+    spec, grid, n, nodes = legendre_spec(), np.linspace(0.0, 1.0, 257), 36, 512
+    compute_coefficients(spec, n, nodes, grid)  # warm the rule cache
+    tracemalloc.start()
+    try:
+        values = compute_coefficients(spec, n, nodes, grid).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the kernel matrix, the weighted basis, the product and its contiguous
+    # copy are live at once; the slack is one more basis and table, while a
+    # second kernel-sized array (a copy before the exp, a weighted copy of the
+    # kernel) adds 1 MB and fails the bound
+    kernel_bytes, basis_bytes = grid.size * nodes * 8, (n + 1) * nodes * 8
+    assert peak <= kernel_bytes + 2 * (basis_bytes + values.nbytes)
+
+
+def test_simulate_memory_stays_near_one_chunk(tmp_path):
+    paths, grid_points = 4 * _CHUNK_PATHS + 3, 129
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"family": "legendre", "kernel": "exp-bounded", "horizon": 1.0, "tau": 1.0, '
+        f'"n": 3, "paths": {paths}, "time_grid_points": {grid_points}, "spectral_nodes": 64}}'
+    )
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(argv) == 0  # warm the rule cache
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk of paths is live at a time, next to one path's values and
+    # text; the previous chunk kept alive, or a whole chunk's values as
+    # Python floats or as text (each about four times its bytes), passes
+    # the bound
+    chunk_bytes = _CHUNK_PATHS * grid_points * 8
+    assert peak <= 2 * chunk_bytes
 
 
 def _deviation(spec, model_n, grid):
