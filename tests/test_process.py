@@ -312,6 +312,13 @@ def test_engine_xi_rows_match_path_rng():
             np.testing.assert_array_equal(_engine_xi(seed, xi_mode, paths, count), expected)
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_engine_xi_rows_independent_of_chunk_size(monkeypatch, chunk):
+    expected = _engine_xi(2**64 - 1, "norm-decaying", 20)
+    monkeypatch.setattr(process, "_CHUNK_PATHS", chunk)
+    np.testing.assert_array_equal(_engine_xi(2**64 - 1, "norm-decaying", 20), expected)
+
+
 def _gated_norms(spec, paths, seed):
     # verify's gated statistic per path, from the engine at its own chunk size
     grid = np.linspace(0.0, spec.horizon, 257)
