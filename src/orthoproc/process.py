@@ -360,11 +360,13 @@ def _gate_operands(deviation: np.ndarray, w: np.ndarray, p: float):
     For p != 2 that is the deviation table itself. For p = 2 the Simpson sum
     of dev^2 is xi^T A A^T xi with A = D diag(sqrt(w)); with A^T = QR it
     equals |R xi|^2, so the values are R^T ((K + 1) x min(grid, K + 1)) with
-    unit weights, equal to the grid norm in exact arithmetic.
+    unit weights, equal to the grid norm in exact arithmetic; the deviation
+    table is then scaled in place.
     """
     if p != 2.0:
         return deviation, w
-    r = np.linalg.qr((deviation * np.sqrt(w)).T, mode="r")
+    deviation *= np.sqrt(w)
+    r = np.linalg.qr(deviation.T, mode="r")
     return r.T, np.ones(r.shape[0])
 
 

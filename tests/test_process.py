@@ -416,11 +416,11 @@ def test_verify_memory_stays_near_one_chunk():
 
 
 def test_verify_memory_at_p2_stays_near_one_factor_chunk():
-    spec, paths, nodes, grid_points = legendre_spec(), 2 * 2 * _CHUNK_PATHS, 16, 129
-    grid = np.linspace(0.0, spec.horizon, grid_points)
+    spec, paths, nodes = legendre_spec(), 2 * 2 * _CHUNK_PATHS, 16
+    grid = np.linspace(0.0, spec.horizon, 257)
     model = compute_coefficients(spec, 1, nodes, grid)
     reference = compute_coefficients(spec, 36, nodes, grid)
-    options = dict(seed=1, model_nodes=nodes, reference_nodes=nodes, time_grid_points=grid_points)
+    options = dict(seed=1, model_nodes=nodes, reference_nodes=nodes)
     verify_reliability(spec, 1, 0.1, 0.05, paths=8, **options)  # warm the rule cache
     tracemalloc.start()
     try:
@@ -429,10 +429,10 @@ def test_verify_memory_at_p2_stays_near_one_factor_chunk():
     finally:
         tracemalloc.stop()
     # at p = 2 a chunk holds R xi, K + 1 values per path, next to the chunk's
-    # xi rows. 16 nodes keep a table build, and 129 grid points the QR of the
-    # weighted table (two table-sized copies), below these two buffers.
-    # Synthesizing on the grid again makes one chunk alone 3.5 times a factor
-    # chunk and fails the bound.
+    # xi rows. 16 nodes keep a table build, and scaling the deviation table
+    # in place keeps the QR (one table-sized copy), below these two buffers;
+    # a scaled copy of the table fails the bound. Synthesizing on the
+    # 257-point grid again makes one chunk alone 7 times a factor chunk.
     chunk_bytes = _CHUNK_PATHS * (reference.n + 1) * 8
     assert peak <= 2 * chunk_bytes + model.values.nbytes + reference.values.nbytes
 
@@ -505,7 +505,7 @@ def test_p2_factor_norm_matches_grid_norm(name, xi_mode):
     grid = np.linspace(0.0, spec.horizon, 257)
     w = simpson_weights(grid)
     deviation = _deviation(spec, model_n, grid)
-    values, weights = process._gate_operands(deviation, w, 2.0)
+    values, weights = process._gate_operands(deviation.copy(), w, 2.0)
     count = deviation.shape[0]
     assert values.shape == (count, count)
     np.testing.assert_array_equal(weights, np.ones(count))
