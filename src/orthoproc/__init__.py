@@ -17,8 +17,6 @@ from .bounds import (
     gf_square_integral,
     gf_square_integral_oracle,
     select_N,
-    tail_weights,
-    tau_bound,
 )
 from .cli import DEFAULT_SEED, main
 from .errors import (
@@ -31,6 +29,8 @@ from .errors import (
 from .orlicz import (
     OrliczSpec,
     TailBoundSpec,
+    tail_weights,
+    tau_bound,
     threshold_accuracy,
     threshold_reliability,
 )

@@ -27,13 +27,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .orlicz import TailBoundSpec, threshold_accuracy, threshold_reliability
-from .orthopoly import MAX_DEGREE, PolynomialFamily, _check_w
+from .orlicz import (
+    TailBoundSpec,
+    _check_order,
+    tail_weights,
+    threshold_accuracy,
+    threshold_reliability,
+)
+from .orthopoly import PolynomialFamily, _check_w
+from .process import ProcessSpec, compute_coefficients
 from .quadrature import (
     cosine_mapped_rule,
     gauss_legendre_rule,
@@ -43,9 +49,6 @@ from .quadrature import (
     simpson_weights,
 )
 from .specfun import hyp2f1_regularized
-
-if TYPE_CHECKING:
-    from .process import ProcessSpec
 
 _GF_ORACLE_RTOL = 1e-6
 
@@ -72,39 +75,6 @@ class Resolution:
         g = self.time_grid_points
         if not isinstance(g, (int, np.integer)) or g < 3 or g % 2 == 0:
             raise DomainError(f"time_grid_points must be an odd integer >= 3, got {g!r}")
-
-
-def _check_order(k: int, what: str = "k") -> int:
-    if not isinstance(k, (int, np.integer)) or k < 0 or k > MAX_DEGREE:
-        raise DomainError(f"{what} must be an integer in [0, {MAX_DEGREE}], got {k!r}")
-    return int(k)
-
-
-def tau_bound(family: PolynomialFamily, tb: TailBoundSpec, k: int) -> float:
-    """Geometric envelope on the k-th coefficient's process-variable norm.
-
-    Legendre: sqrt(2/(2k+1)) tau w^k. Laguerre: sqrt(Gamma(k+a+1)/k!) tau w^k.
-    Gegenbauer: sqrt(k! (k+a) / Gamma(k+2a)) tau w^k; gamma ratios run in log
-    space so high orders neither overflow nor lose the small w^k factor.
-    """
-    k = _check_order(k)
-    geo = tb.tau * tb.w**k
-    if family.kind == "legendre":
-        return math.sqrt(2.0 / (2.0 * k + 1.0)) * geo
-    a = family.alpha
-    if family.kind == "laguerre":
-        return math.exp(0.5 * (math.lgamma(k + a + 1.0) - math.lgamma(k + 1.0))) * geo
-    if k == 0 and a < 0.0:
-        # Gamma(2a) < 0 exactly cancels the sign of a; the log-space route
-        # would lose that sign, so evaluate the ratio directly.
-        return math.sqrt(a / math.gamma(2.0 * a)) * geo
-    return math.exp(0.5 * (math.lgamma(k + 1.0) + math.log(k + a) - math.lgamma(k + 2.0 * a))) * geo
-
-
-def tail_weights(family: PolynomialFamily, tb: TailBoundSpec, k_max: int) -> np.ndarray:
-    """Vector of tau_bound(k) for k = 0..k_max."""
-    k_max = _check_order(k_max, "k_max")
-    return np.array([tau_bound(family, tb, k) for k in range(k_max + 1)])
 
 
 def gf_square_integral(family: PolynomialFamily, w: float) -> float:
@@ -247,7 +217,7 @@ class CNCurve:
 
 
 def c_n_curve(
-    spec: "ProcessSpec",
+    spec: ProcessSpec,
     n_max: int,
     delta: float,
     alpha: float,
@@ -308,7 +278,7 @@ def c_n_curve(
 
 @functools.lru_cache(maxsize=64)
 def _curve_arrays(
-    spec: "ProcessSpec", n_max: int, resolution: Resolution, override_bytes: bytes | None
+    spec: ProcessSpec, n_max: int, resolution: Resolution, override_bytes: bytes | None
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The (delta, alpha)-free part of c_n_curve: C_N, clamped fractions, gf values.
 
@@ -331,9 +301,6 @@ def _curve_arrays(
     else:
         tw = np.frombuffer(override_bytes, dtype=float)
 
-    # deferred import: process builds on this module's tail weights
-    from .process import compute_coefficients
-
     time_grid = np.linspace(0.0, spec.horizon, resolution.time_grid_points)
     rule = rule_for_family(family, resolution.spectral_nodes)
     # OpenBLAS gives tables of at most 4 rows other last bits, so every curve
@@ -352,7 +319,7 @@ def _curve_arrays(
 
 
 def c_n_bound(
-    spec: "ProcessSpec",
+    spec: ProcessSpec,
     n: int,
     delta: float,
     alpha: float,
@@ -396,7 +363,7 @@ class SelectionResult:
 
 
 def select_N(
-    spec: "ProcessSpec",
+    spec: ProcessSpec,
     delta: float,
     alpha: float,
     n_max: int,

@@ -54,7 +54,6 @@ _DEFAULTS: dict[str, object] = {
     "n_max": 32,
     "paths": 1000,
     "seed": DEFAULT_SEED,
-    "xi_mode": "norm-decaying",
     "spectral_nodes": 256,
     "reference_spectral_nodes": 512,
     "time_grid_points": 257,
@@ -147,16 +146,10 @@ def validate_config(raw: dict) -> dict:
         if key in cfg:
             cfg[key] = _VALIDATORS[key](key, cfg[key])
     if "family" in cfg:
-        kind = cfg["family"]
-        alpha = cfg.get("family_alpha")
-        if kind == "legendre" and alpha is not None:
-            raise ConfigError("family_alpha: legendre takes no alpha parameter")
-        if kind == "laguerre" and (alpha is None or not alpha > -1.0):
-            raise ConfigError(f"family_alpha: laguerre requires alpha > -1, got {alpha!r}")
-        if kind == "gegenbauer" and (alpha is None or not alpha > -0.5 or alpha == 0.0):
-            raise ConfigError(
-                f"family_alpha: gegenbauer requires alpha > -1/2 and alpha != 0, got {alpha!r}"
-            )
+        try:
+            _family(cfg)
+        except DomainError as exc:
+            raise ConfigError(f"family_alpha: {exc}") from None
     return cfg
 
 
@@ -305,7 +298,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     def parts():
         yield "path_id,t,value\n"
         start = 0
-        for chunk in _path_chunks(spec, table.values, cfg["paths"], cfg["seed"], cfg["xi_mode"]):
+        for chunk in _path_chunks(spec, table.values, cfg["paths"], cfg["seed"]):
             for row in chunk:
                 yield template.format(start, *row.tolist())
                 start += 1
@@ -335,7 +328,6 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         cfg["alpha"],
         paths=cfg["paths"],
         seed=cfg["seed"],
-        xi_mode=cfg["xi_mode"],
         reference_n=cfg.get("reference_n"),
         model_nodes=cfg["spectral_nodes"],
         reference_nodes=cfg["reference_spectral_nodes"],

@@ -1,4 +1,4 @@
-"""Orlicz generator and envelope parameters, and the decision thresholds.
+"""Orlicz generator, the coefficient norm envelope, and the decision thresholds.
 
 The generator is the power family: phi(t) = |t|^gamma / gamma for
 1 < gamma <= 2, switching to the piecewise form (t^2/gamma inside the unit
@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
+from .orthopoly import MAX_DEGREE, PolynomialFamily
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,39 @@ class TailBoundSpec:
             raise DomainError(f"tau must be a finite number > 0, got {self.tau}")
         if not (0.0 < self.w < 1.0):
             raise DomainError(f"w must lie strictly inside (0, 1), got {self.w}")
+
+
+def _check_order(k: int, what: str = "k") -> int:
+    if not isinstance(k, (int, np.integer)) or k < 0 or k > MAX_DEGREE:
+        raise DomainError(f"{what} must be an integer in [0, {MAX_DEGREE}], got {k!r}")
+    return int(k)
+
+
+def tau_bound(family: PolynomialFamily, tb: TailBoundSpec, k: int) -> float:
+    """Geometric envelope on the k-th coefficient's process-variable norm.
+
+    Legendre: sqrt(2/(2k+1)) tau w^k. Laguerre: sqrt(Gamma(k+a+1)/k!) tau w^k.
+    Gegenbauer: sqrt(k! (k+a) / Gamma(k+2a)) tau w^k; gamma ratios run in log
+    space so high orders neither overflow nor lose the small w^k factor.
+    """
+    k = _check_order(k)
+    geo = tb.tau * tb.w**k
+    if family.kind == "legendre":
+        return math.sqrt(2.0 / (2.0 * k + 1.0)) * geo
+    a = family.alpha
+    if family.kind == "laguerre":
+        return math.exp(0.5 * (math.lgamma(k + a + 1.0) - math.lgamma(k + 1.0))) * geo
+    if k == 0 and a < 0.0:
+        # Gamma(2a) < 0 exactly cancels the sign of a; the log-space route
+        # would lose that sign, so evaluate the ratio directly.
+        return math.sqrt(a / math.gamma(2.0 * a)) * geo
+    return math.exp(0.5 * (math.lgamma(k + 1.0) + math.log(k + a) - math.lgamma(k + 2.0 * a))) * geo
+
+
+def tail_weights(family: PolynomialFamily, tb: TailBoundSpec, k_max: int) -> np.ndarray:
+    """Vector of tau_bound(k) for k = 0..k_max."""
+    k_max = _check_order(k_max, "k_max")
+    return np.array([tau_bound(family, tb, k) for k in range(k_max + 1)])
 
 
 def threshold_reliability(delta: float, alpha: float, spec: OrliczSpec, p: float) -> float:

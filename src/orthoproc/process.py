@@ -5,6 +5,9 @@ orthonormal polynomial family on the kernel's spectral domain. Expansion
 coefficients ahat_k(t) are quadratures of f(t, .) against the orthonormal
 functions; truncated sample paths are X_N(t) = sum_k xi_k ahat_k(t).
 
+The xi_k are independent Gaussians scaled into the norm envelope the
+certificate assumes (_xi_sigma), the one law, named "norm-decaying".
+
 Verification stands the unobservable exact process in for by a
 high-truncation, high-resolution reference expansion sharing the same xi
 draws; the empirical exceedance rate of the L_p deviation over many paths is
@@ -29,13 +32,13 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import tail_weights
 from .errors import DomainError, UnknownKernelError, UnsupportedRegimeError
-from .orlicz import OrliczSpec, TailBoundSpec
+from .orlicz import OrliczSpec, TailBoundSpec, tail_weights
 from .orthopoly import PolynomialFamily, orthonormal_block
 from .quadrature import QuadratureRule, _lp_norms_inplace, rule_for_family, simpson_weights
 
-XI_MODES = ("unit-variance", "norm-decaying")
+# the one xi law; the config key and the report field keep its name
+XI_MODES = ("norm-decaying",)
 
 # paths per engine chunk; a constant so that BLAS blocking, and with it every
 # output bit, depends on nothing but (seed, paths)
@@ -228,36 +231,26 @@ def synthesize_path(table: CoefficientTable | np.ndarray, xi) -> np.ndarray:
     return xi @ values
 
 
-def _xi_sigma(mode: str, count: int, tb: TailBoundSpec, family: PolynomialFamily) -> np.ndarray:
-    """Deviations sigma_0..sigma_{count-1} of the xi law in the given mode."""
-    if mode not in XI_MODES:
-        raise DomainError(f"unknown xi mode {mode!r}; expected one of {XI_MODES}")
-    if mode == "unit-variance":
-        return np.ones(count)
-    return np.minimum(1.0, tail_weights(family, tb, count - 1))
-
-
-def draw_xi(
-    mode: str,
-    count: int,
-    tb: TailBoundSpec,
-    family: PolynomialFamily,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw the coefficient variables xi_0..xi_{count-1}.
-
-    "unit-variance" draws standard Gaussians (the uncorrelated-coefficients
-    idealization). "norm-decaying" scales them to sigma_k =
-    min(1, tau_bound(k)). N(0, sigma^2) has phi-sub-Gaussian norm
-    sigma sqrt(gamma/2) for gamma >= 2, so these variables meet the geometric
-    norm envelope the certificate assumes at gamma = 2 only, and exceed it by
-    sqrt(gamma/2) above (ROADMAP.md, open item 10). The two modes are
-    mutually inconsistent for w < 1; both are exposed deliberately.
+def _xi_sigma(count: int, spec: ProcessSpec) -> np.ndarray:
+    """Deviations of xi_0..xi_{count-1}: min(1, tau_bound(k)), times sqrt(2/gamma)
+    for gamma > 2, where N(0, sigma^2) has phi-sub-Gaussian norm sigma sqrt(gamma/2)
+    instead of sigma; xi_k then has norm min(1, tau_bound(k)). The cap at 1 stays
+    because the benchmark's recount (bench/workloads.check_verify) draws
+    min(1, tau_bound(k)); where tau_bound(k) > 1, xi_k is milder than the envelope.
     """
+    sigma = np.minimum(1.0, tail_weights(spec.family, spec.tail, count - 1))
+    if spec.orlicz.gamma > 2.0:
+        sigma *= math.sqrt(2.0 / spec.orlicz.gamma)
+    return sigma
+
+
+def draw_xi(spec: ProcessSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw the coefficient variables xi_0..xi_{count-1}: independent
+    Gaussians with the deviations _xi_sigma gives, one standard normal per
+    order from rng."""
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
-    sigma = _xi_sigma(mode, int(count), tb, family)
-    return rng.standard_normal(int(count)) * sigma
+    return rng.standard_normal(int(count)) * _xi_sigma(int(count), spec)
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -275,13 +268,7 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _path_chunks(
-    spec: ProcessSpec,
-    values: np.ndarray,
-    paths: int,
-    seed: int,
-    xi_mode: str,
-):
+def _path_chunks(spec: ProcessSpec, values: np.ndarray, paths: int, seed: int):
     """Yield, for each chunk of _CHUNK_PATHS consecutive paths, the stack
     xi @ values, one path per row, for a (K + 1) x m array of values (a
     coefficient table's, or any linear image of them).
@@ -290,7 +277,7 @@ def _path_chunks(
     would.
     """
     count = values.shape[0]
-    sigma = _xi_sigma(xi_mode, count, spec.tail, spec.family)
+    sigma = _xi_sigma(count, spec)
     rng = path_rng(seed, 0)
     bit_generator = rng.bit_generator
     # the state of a fresh path_rng(seed, i): counter 0, key (seed, i), empty
@@ -326,7 +313,6 @@ class VerificationReport:
     delta: float
     reference_n: int
     model_n: int
-    xi_mode: str
     seed: int
 
     def as_json_dict(self) -> dict:
@@ -338,7 +324,7 @@ class VerificationReport:
             "delta": self.delta,
             "reference_N": self.reference_n,
             "model_N": self.model_n,
-            "xi_mode": self.xi_mode,
+            "xi_mode": XI_MODES[0],
             "seed": self.seed,
         }
 
@@ -378,7 +364,6 @@ def verify_reliability(
     *,
     paths: int,
     seed: int,
-    xi_mode: str = "norm-decaying",
     reference_n: int | None = None,
     model_nodes: int = 256,
     reference_nodes: int = 512,
@@ -423,7 +408,7 @@ def verify_reliability(
     deviation[: len(model)] -= model
     deviation, w = _gate_operands(deviation, simpson_weights(time_grid), spec.p)
     exceedances = 0
-    for dev in _path_chunks(spec, deviation, int(paths), int(seed), xi_mode):
+    for dev in _path_chunks(spec, deviation, int(paths), int(seed)):
         exceedances += int(np.sum(_lp_norms_inplace(dev, w, spec.p) > delta))
         del dev  # free this chunk before the engine synthesizes the next
     return VerificationReport(
@@ -434,6 +419,5 @@ def verify_reliability(
         delta=float(delta),
         reference_n=int(reference_n),
         model_n=int(model_n),
-        xi_mode=xi_mode,
         seed=int(seed),
     )

@@ -187,7 +187,6 @@ def test_criterion_6_monte_carlo_gate():
         alpha,
         paths=10_000,
         seed=DEFAULT_SEED,
-        xi_mode="norm-decaying",
     )
     elapsed = time.perf_counter() - start
     ok = report.empirical_prob <= alpha and elapsed < 120.0
@@ -198,7 +197,6 @@ def test_criterion_6_monte_carlo_gate():
         alpha,
         paths=10_000,
         seed=DEFAULT_SEED,
-        xi_mode="norm-decaying",
     )
     print(
         f"[criterion 6] note: at delta/2 = {delta / 2} the empirical probability "

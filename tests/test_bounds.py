@@ -34,7 +34,7 @@ from orthoproc import (
     threshold_accuracy,
     threshold_reliability,
 )
-from orthoproc import bounds, cli, process
+from orthoproc import bounds, cli
 
 TB = TailBoundSpec(1.0, 0.5)
 
@@ -461,7 +461,7 @@ def test_cached_curve_is_bit_identical(kernel_name, family, nodes, override):
 def curve_work(monkeypatch):
     """Counts of coefficient tables built and gf oracle checks run, from a cold cache."""
     counts = {"tables": 0, "oracles": 0}
-    build, oracle = process.compute_coefficients, bounds.gf_square_integral_oracle
+    build, oracle = bounds.compute_coefficients, bounds.gf_square_integral_oracle
 
     def counting_build(*args, **kwargs):
         counts["tables"] += 1
@@ -471,7 +471,7 @@ def curve_work(monkeypatch):
         counts["oracles"] += 1
         return oracle(*args, **kwargs)
 
-    monkeypatch.setattr(process, "compute_coefficients", counting_build)
+    monkeypatch.setattr(bounds, "compute_coefficients", counting_build)
     monkeypatch.setattr(bounds, "gf_square_integral_oracle", counting_oracle)
     bounds._curve_arrays.cache_clear()
     return counts

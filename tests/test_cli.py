@@ -216,7 +216,7 @@ def test_simulate_streams_chunks(tmp_path, monkeypatch):
     spec = cli._process_spec(cli.validate_config(json.loads(Path(cfg).read_text())), "simulate")
     grid = np.linspace(0.0, 1.0, 33)
     table = compute_coefficients(spec, 2, 256, grid)
-    chunks = process._path_chunks(spec, table.values, 5, cli.DEFAULT_SEED, "norm-decaying")
+    chunks = process._path_chunks(spec, table.values, 5, cli.DEFAULT_SEED)
     rows = np.concatenate(list(chunks))
     lines = ["path_id,t,value"] + [
         f"{i},{format(t, '.17g')},{format(x, '.17g')}"
@@ -268,6 +268,35 @@ def test_verify_refuses_gamma_below_two(tmp_path, capsys):
     assert "gamma < 2" in capsys.readouterr().err
     code, _ = run(tmp_path, "verify", cfg, "--set", "gamma=2", sub="gaussian")
     assert code == 0
+
+
+def test_unit_variance_xi_mode_is_refused(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, n=1, paths=20, xi_mode="unit-variance")
+    code, out = run(tmp_path, "verify", cfg)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: xi_mode: must be one of norm-decaying, got 'unit-variance'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family, alpha, message",
+    [
+        ("legendre", 0.5, "legendre takes no alpha parameter"),
+        ("laguerre", None, "laguerre requires alpha > -1, got None"),
+        ("laguerre", -2, "laguerre requires alpha > -1, got -2.0"),
+        ("gegenbauer", 0, "gegenbauer requires alpha > -1/2 and alpha != 0, got 0.0"),
+        ("gegenbauer", -0.7, "gegenbauer requires alpha > -1/2 and alpha != 0, got -0.7"),
+        ("gegenbauer", None, "gegenbauer requires alpha > -1/2 and alpha != 0, got None"),
+    ],
+)
+def test_invalid_family_alpha_exits_one(tmp_path, capsys, family, alpha, message):
+    extra = {"family_alpha": alpha} if alpha is not None else {}
+    code, out = run(tmp_path, "tables", write_cfg(tmp_path, family=family, **extra))
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: family_alpha: {message}\n"
+    assert not out.exists()
 
 
 def test_verify_selects_n_when_absent(tmp_path):

@@ -174,24 +174,67 @@ def test_synthesize_path_linearity():
 
 
 def test_draw_xi_modes():
-    rng_a = path_rng(42, 0)
-    rng_b = path_rng(42, 0)
-    raw = draw_xi("unit-variance", 5, TB, legendre(), rng_a)
-    scaled = draw_xi("norm-decaying", 5, TB, legendre(), rng_b)
+    raw = path_rng(42, 0).standard_normal(5)
+    scaled = draw_xi(legendre_spec(), 5, path_rng(42, 0))
     sigma = np.minimum(1.0, tail_weights(legendre(), TB, 4))
     np.testing.assert_allclose(scaled, raw * sigma, atol=1e-15)
     # sigma_4 = sqrt(2/9) / 16
     assert sigma[4] == pytest.approx(math.sqrt(2.0 / 9.0) / 16.0, rel=1e-13)
     assert sigma[0] == 1.0  # min(1, sqrt(2)) caps at 1
     with pytest.raises(DomainError):
-        draw_xi("other", 5, TB, legendre(), path_rng(42, 0))
-    with pytest.raises(DomainError):
-        draw_xi("unit-variance", 0, TB, legendre(), path_rng(42, 0))
+        draw_xi(legendre_spec(), 0, path_rng(42, 0))
 
 
-def test_unit_variance_statistics():
-    draws = draw_xi("unit-variance", 100_000, TB, legendre(), path_rng(7, 0))
-    assert abs(float(np.var(draws)) - 1.0) < 0.03
+def _phi_inverse(y, gamma):
+    # inverse on [0, inf) of phi(t) = t^2/gamma on [0, 1], t^gamma/gamma
+    # beyond (for gamma = 2 both branches are t^2/2)
+    return np.where(y <= 1.0 / gamma, np.sqrt(gamma * y), (gamma * y) ** (1.0 / gamma))
+
+
+# the benchmark's family/kernel pairs
+BENCH_PAIRS = (
+    (legendre(), "exp-bounded"),
+    (legendre(), "poly-bounded"),
+    (laguerre(0.0), "exp-decay"),
+    (laguerre(0.5), "exp-decay"),
+    (gegenbauer(1.0), "exp-bounded"),
+    (gegenbauer(1.5), "exp-bounded"),
+)
+
+
+def test_xi_norms_stay_inside_the_envelope():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        gamma=st.floats(2.0, 8.0),
+        k_max=st.integers(0, 40),
+        pair=st.sampled_from(BENCH_PAIRS),
+        w=st.sampled_from((0.3, 0.5, 0.8)),
+        tau=st.floats(0.25, 4.0),
+    )
+    def check(gamma, k_max, pair, w, tau):
+        family, kernel = pair
+        spec = ProcessSpec(
+            kernel=builtin_kernel(kernel),
+            family=family,
+            horizon=1.0,
+            p=2.0,
+            orlicz=OrliczSpec(gamma),
+            tail=TailBoundSpec(tau, w),
+        )
+        sigma = process._xi_sigma(k_max + 1, spec)
+        envelope = tail_weights(family, spec.tail, k_max)
+        # the phi-sub-Gaussian norm of N(0, sigma^2) is the supremum over
+        # lambda > 0 of phi^{-1}(sigma^2 lambda^2 / 2) / lambda; the grid
+        # spans both branches of phi around lambda = 1 / sigma
+        lam = np.logspace(-6.0, 6.0, 2001)[:, None] / sigma
+        norm = np.max(_phi_inverse(sigma**2 * lam**2 / 2.0, gamma) / lam, axis=0)
+        assert np.all(norm <= envelope * (1.0 + 1e-12))
+        np.testing.assert_allclose(norm, np.minimum(1.0, envelope), rtol=1e-12)
+
+    check()
 
 
 def test_path_rng_streams():
@@ -239,7 +282,7 @@ def _deviation_error(xi, model, reference):
     return 2.0 * (xi.shape[-1] + 1) * EPS * scale
 
 
-def _check_engine_against_loop(out_dir, xi_mode):
+def _check_engine_against_loop(out_dir):
     spec = legendre_spec()
     paths, seed = 2 * _CHUNK_PATHS + 3, 321
     grid = np.linspace(0.0, 1.0, 257)
@@ -251,14 +294,14 @@ def _check_engine_against_loop(out_dir, xi_mode):
     # verify norms: the per-path two-table loop the engine replaced
     ref_norms, tol = np.empty(paths), np.empty(paths)
     for i in range(paths):
-        xi = draw_xi(xi_mode, reference.n + 1, TB, spec.family, path_rng(seed, i))
+        xi = draw_xi(spec, reference.n + 1, path_rng(seed, i))
         diff = synthesize_path(reference, xi) - synthesize_path(model, xi[:2])
         ref_norms[i] = lp_norm(diff, grid, spec.p)
         bound = _deviation_error(xi, model, reference) + 2.0 * EPS * np.abs(diff)
         # the power, the Simpson sum over G points and the root add at most
         # (G + 4) eps relative on each side
         tol[i] = lp_norm(bound, grid, spec.p) + 2.0 * (grid.size + 4) * EPS * ref_norms[i]
-    chunks = list(_path_chunks(spec, deviation, paths, seed, xi_mode))
+    chunks = list(_path_chunks(spec, deviation, paths, seed))
     assert [len(chunk) for chunk in chunks] == [_CHUNK_PATHS, _CHUNK_PATHS, 3]
     norms = np.concatenate([lp_norm(chunk, grid, spec.p) for chunk in chunks])
     assert np.all(np.abs(norms - ref_norms) <= tol)
@@ -266,17 +309,15 @@ def _check_engine_against_loop(out_dir, xi_mode):
     delta = float(np.median(ref_norms))
     near = np.abs(ref_norms - delta) <= 1e-9 * delta
     np.testing.assert_array_equal((norms > delta)[~near], (ref_norms > delta)[~near])
-    report = verify_reliability(spec, 1, delta, 0.5, paths=paths, seed=seed, xi_mode=xi_mode)
+    report = verify_reliability(spec, 1, delta, 0.5, paths=paths, seed=seed)
     assert abs(report.exceedances - int(np.sum(ref_norms > delta))) <= int(np.sum(near))
-    assert report == verify_reliability(
-        spec, 1, delta, 0.5, paths=paths, seed=seed, xi_mode=xi_mode
-    )
+    assert report == verify_reliability(spec, 1, delta, 0.5, paths=paths, seed=seed)
 
     # simulate rows, through the CLI and its %.17g output
     cfg = out_dir / "cfg.json"
     cfg.write_text(
         '{"family": "legendre", "kernel": "exp-bounded", "horizon": 1.0, "tau": 1.0, '
-        f'"n": 2, "paths": {paths}, "seed": {seed}, "xi_mode": "{xi_mode}", '
+        f'"n": 2, "paths": {paths}, "seed": {seed}, '
         '"time_grid_points": 33}'
     )
     assert main(["simulate", "--config", str(cfg), "--out", str(out_dir)]) == 0
@@ -285,38 +326,35 @@ def _check_engine_against_loop(out_dir, xi_mode):
     np.testing.assert_array_equal(csv[:, :, 0], np.repeat(np.arange(paths)[:, None], 33, axis=1))
     np.testing.assert_array_equal(csv[:, :, 1], np.tile(table.time_grid, (paths, 1)))
     for i in range(paths):
-        xi = draw_xi(xi_mode, 3, TB, spec.family, path_rng(seed, i))
+        xi = draw_xi(spec, 3, path_rng(seed, i))
         assert np.all(np.abs(csv[i, :, 2] - synthesize_path(table, xi)) <= _dot_error(xi, table))
 
 
 def test_path_engine_matches_per_path_reference(tmp_path):
-    # three chunks, the last one partial, in both xi modes
-    for xi_mode in XI_MODES:
-        out_dir = tmp_path / xi_mode
-        out_dir.mkdir()
-        _check_engine_against_loop(out_dir, xi_mode)
+    # three chunks, the last one partial
+    _check_engine_against_loop(tmp_path)
 
 
-def _engine_xi(seed, xi_mode, paths, count=6):
+def _engine_xi(seed, paths, count=6, spec=None):
     # an identity makes each synthesized path its xi row exactly
-    return np.concatenate(list(_path_chunks(legendre_spec(), np.eye(count), paths, seed, xi_mode)))
+    spec = spec or legendre_spec()
+    return np.concatenate(list(_path_chunks(spec, np.eye(count), paths, seed)))
 
 
 def test_engine_xi_rows_match_path_rng():
     paths, count = 2 * _CHUNK_PATHS + 3, 6
     for seed in (0, 2**64 - 1):
-        for xi_mode in XI_MODES:
-            expected = np.stack(
-                [draw_xi(xi_mode, count, TB, legendre(), path_rng(seed, i)) for i in range(paths)]
-            )
-            np.testing.assert_array_equal(_engine_xi(seed, xi_mode, paths, count), expected)
+        for gamma in (2.0, 4.0):
+            spec = replace(legendre_spec(), orlicz=OrliczSpec(gamma))
+            expected = np.stack([draw_xi(spec, count, path_rng(seed, i)) for i in range(paths)])
+            np.testing.assert_array_equal(_engine_xi(seed, paths, count, spec), expected)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_engine_xi_rows_independent_of_chunk_size(monkeypatch, chunk):
-    expected = _engine_xi(2**64 - 1, "norm-decaying", 20)
+    expected = _engine_xi(2**64 - 1, 20)
     monkeypatch.setattr(process, "_CHUNK_PATHS", chunk)
-    np.testing.assert_array_equal(_engine_xi(2**64 - 1, "norm-decaying", 20), expected)
+    np.testing.assert_array_equal(_engine_xi(2**64 - 1, 20), expected)
 
 
 def _gated_norms(spec, paths, seed):
@@ -324,7 +362,7 @@ def _gated_norms(spec, paths, seed):
     grid = np.linspace(0.0, spec.horizon, 257)
     deviation = _deviation(spec, 1, grid)
     values, weights = process._gate_operands(deviation, simpson_weights(grid), spec.p)
-    chunks = _path_chunks(spec, values, paths, seed, "norm-decaying")
+    chunks = _path_chunks(spec, values, paths, seed)
     return np.concatenate([_lp_norms_inplace(chunk, weights, spec.p) for chunk in chunks])
 
 
@@ -339,19 +377,18 @@ def test_engine_is_independent_of_chunk_size():
         chunk=st.integers(1, 1500),
         paths=st.integers(1, max_paths),
         xi_seed=st.integers(0, 2**64 - 1),
-        xi_mode=st.sampled_from(XI_MODES),
     )
-    def check(chunk, paths, xi_seed, xi_mode):
+    def check(chunk, paths, xi_seed):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(process, "_CHUNK_PATHS", chunk)
-            rows = _engine_xi(xi_seed, xi_mode, paths)
+            rows = _engine_xi(xi_seed, paths)
             counts = {}
             for p in norms:
                 delta = float(np.median(norms[p][:paths]))
                 spec = legendre_spec(p=p)
                 report = verify_reliability(spec, 1, delta, 0.5, paths=paths, seed=seed)
                 counts[p] = (delta, report.exceedances)
-        expected = [draw_xi(xi_mode, 6, TB, legendre(), path_rng(xi_seed, i)) for i in range(paths)]
+        expected = [draw_xi(legendre_spec(), 6, path_rng(xi_seed, i)) for i in range(paths)]
         np.testing.assert_array_equal(rows, np.stack(expected))
         for p, (delta, exceedances) in counts.items():
             # the default chunk's count, but for paths within 1e-9 of delta
@@ -511,7 +548,7 @@ def test_p2_factor_norm_matches_grid_norm(name, xi_mode):
     np.testing.assert_array_equal(weights, np.ones(count))
 
     def engine_norms(table, norm):
-        chunks = _path_chunks(spec, table, paths, seed, xi_mode)
+        chunks = _path_chunks(spec, table, paths, seed)
         return np.concatenate([norm(chunk) for chunk in chunks])
 
     factor = engine_norms(values, lambda chunk: _lp_norms_inplace(chunk, weights, 2.0))
@@ -529,7 +566,8 @@ def test_p2_factor_norm_matches_grid_norm(name, xi_mode):
     assert np.all(np.abs(factor - on_grid) <= tol)
 
     delta = float(np.median(on_grid))
-    report = verify_reliability(spec, model_n, delta, 0.5, paths=paths, seed=seed, xi_mode=xi_mode)
+    report = verify_reliability(spec, model_n, delta, 0.5, paths=paths, seed=seed)
+    assert report.as_json_dict()["xi_mode"] == xi_mode
     assert report.exceedances == int(np.sum(factor > delta))
     # the grid path's count, but for paths within the tolerance of delta
     near = np.abs(on_grid - delta) <= tol
@@ -545,7 +583,7 @@ def test_other_p_gate_the_grid_norm(p):
     deviation = _deviation(spec, 1, grid)
     values, weights = process._gate_operands(deviation, w, p)
     assert values is deviation and weights is w
-    chunks = _path_chunks(spec, deviation, paths, seed, "norm-decaying")
+    chunks = _path_chunks(spec, deviation, paths, seed)
     norms = np.concatenate([lp_norm(chunk, grid, p) for chunk in chunks])
     delta = float(np.median(norms))
     report = verify_reliability(spec, 1, delta, 0.5, paths=paths, seed=seed)
