@@ -67,7 +67,6 @@ from .quadrature import (
     cosine_mapped_rule,
     gauss_legendre_rule,
     integrate,
-    lp_norm,
     rule_for_family,
     semi_infinite_rule,
     simpson_weights,

@@ -31,16 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .orlicz import (
-    TailBoundSpec,
-    _check_order,
-    tail_weights,
-    threshold_accuracy,
-    threshold_reliability,
-)
-from .orthopoly import PolynomialFamily, _check_w
+from .orlicz import TailBoundSpec, tail_weights, threshold_accuracy, threshold_reliability
+from .orthopoly import PolynomialFamily, _check_degree, _check_w
 from .process import ProcessSpec, compute_coefficients
 from .quadrature import (
+    _check_node_count,
+    _checked_odd,
     cosine_mapped_rule,
     gauss_legendre_rule,
     integrate,
@@ -68,13 +64,9 @@ class Resolution:
     oracle_nodes: int = 256
 
     def __post_init__(self) -> None:
-        for name in ("spectral_nodes", "oracle_nodes"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not (1 <= v <= 4096):
-                raise DomainError(f"{name} must be an integer in [1, 4096], got {v!r}")
-        g = self.time_grid_points
-        if not isinstance(g, (int, np.integer)) or g < 3 or g % 2 == 0:
-            raise DomainError(f"time_grid_points must be an odd integer >= 3, got {g!r}")
+        _check_node_count(self.spectral_nodes, "spectral_nodes")
+        _check_node_count(self.oracle_nodes, "oracle_nodes")
+        _checked_odd(self.time_grid_points)
 
 
 def gf_square_integral(family: PolynomialFamily, w: float) -> float:
@@ -250,7 +242,7 @@ def c_n_curve(
         ConvergenceError: if the gf closed form fails its oracle check.
         DomainError: on invalid n_max, delta, alpha, or override shape.
     """
-    n_max = _check_order(n_max, "n_max")
+    n_max = _check_degree(n_max, "n_max")
     thr_rel = threshold_reliability(delta, alpha, spec.orlicz, spec.p)
     thr_acc = threshold_accuracy(delta, spec.p, spec.orlicz)
     override_bytes = None
@@ -336,7 +328,7 @@ def c_n_bound(
         ConvergenceError: if the gf closed form fails its oracle check.
         DomainError: on invalid n, delta, alpha, or override shape.
     """
-    n = _check_order(n, "N")
+    n = _check_degree(n, "N")
     curve = c_n_curve(
         spec, n, delta, alpha, resolution=resolution, tail_weight_override=tail_weight_override
     )
@@ -345,7 +337,7 @@ def c_n_bound(
 
 def check_conditions(report: BoundReport) -> bool:
     """True iff C_N <= threshold_rel and C_N < threshold_acc."""
-    return report.c_n <= report.threshold_rel and report.c_n < report.threshold_acc
+    return report.pass_rel and report.pass_acc
 
 
 @dataclass(frozen=True)
@@ -378,7 +370,6 @@ def select_N(
     the first argmin of C_N up to the selected order, or over all orders
     when none passes.
     """
-    n_max = _check_order(n_max, "n_max")
     curve = c_n_curve(spec, n_max, delta, alpha, resolution=resolution)
     c_n = curve.c_n
     passing = np.flatnonzero((c_n <= curve.threshold_rel) & (c_n < curve.threshold_acc))

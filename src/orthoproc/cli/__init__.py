@@ -36,14 +36,14 @@ from ..orthopoly import (
 from ..process import (
     XI_MODES,
     ProcessSpec,
-    _check_xi_law,
     _path_chunks,
+    _xi_sigma,
     builtin_kernel,
     compute_coefficients,
     kernel_names,
     verify_reliability,
 )
-from ..quadrature import rule_for_family
+from ..quadrature import MAX_NODES, rule_for_family
 
 DEFAULT_SEED = 123456789
 
@@ -118,10 +118,10 @@ _VALIDATORS = {
     "paths": lambda k, v: _want_int(k, v, 1),
     "seed": lambda k, v: _want_int(k, v, 0, 2**64 - 1),
     "xi_mode": lambda k, v: _want_choice(k, v, XI_MODES),
-    "spectral_nodes": lambda k, v: _want_int(k, v, 1, 4096),
-    "reference_spectral_nodes": lambda k, v: _want_int(k, v, 1, 4096),
+    "spectral_nodes": lambda k, v: _want_int(k, v, 1, MAX_NODES),
+    "reference_spectral_nodes": lambda k, v: _want_int(k, v, 1, MAX_NODES),
     "time_grid_points": _want_odd,
-    "oracle_nodes": lambda k, v: _want_int(k, v, 1, 4096),
+    "oracle_nodes": lambda k, v: _want_int(k, v, 1, MAX_NODES),
     "reference_n": lambda k, v: _want_int(k, v, 0),
     "workers": lambda k, v: _want_int(k, v, 1),
     "table_k_max": lambda k, v: _want_int(k, v, 0, MAX_DEGREE),
@@ -166,21 +166,23 @@ def _family(cfg: dict) -> PolynomialFamily:
 
 def _process_spec(cfg: dict, command: str) -> ProcessSpec:
     _require(cfg, command, "family", "kernel", "horizon", "tau")
-    family = _family(cfg)
     kernel = builtin_kernel(cfg["kernel"])
-    if kernel.domain != family.domain:
-        raise ConfigError(
-            f"kernel: {cfg['kernel']!r} lives on {kernel.domain}, "
-            f"family {family.label} on {family.domain}"
+    family = _family(cfg)
+    orlicz = OrliczSpec(cfg["gamma"])
+    tail = TailBoundSpec(cfg["tau"], cfg["w"])
+    try:
+        return ProcessSpec(
+            kernel=kernel,
+            family=family,
+            horizon=cfg["horizon"],
+            p=cfg["p"],
+            orlicz=orlicz,
+            tail=tail,
         )
-    return ProcessSpec(
-        kernel=kernel,
-        family=family,
-        horizon=cfg["horizon"],
-        p=cfg["p"],
-        orlicz=OrliczSpec(cfg["gamma"]),
-        tail=TailBoundSpec(cfg["tau"], cfg["w"]),
-    )
+    except DomainError as exc:
+        # validate_config has checked horizon and p, so the kernel/family
+        # domain match is the one rule left to refuse here
+        raise ConfigError(f"kernel: {exc}") from None
 
 
 def _resolution(cfg: dict) -> Resolution:
@@ -287,6 +289,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> int:
     """Write sample paths of the truncated model as paths.csv."""
     _require(cfg, "simulate", "n")
     spec = _process_spec(cfg, "simulate")
+    _xi_sigma(1, spec)  # refuses gamma < 2 before the output directory is made
     time_grid = np.linspace(0.0, spec.horizon, cfg["time_grid_points"])
     rule = rule_for_family(spec.family, cfg["spectral_nodes"])
     table = compute_coefficients(spec, cfg["n"], rule, time_grid)
@@ -313,7 +316,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     empirical exceedance probability stays within alpha."""
     _require(cfg, "verify", "delta", "alpha")
     spec = _process_spec(cfg, "verify")
-    _check_xi_law(spec)  # before a selection that could not be verified
+    _xi_sigma(1, spec)  # refuses gamma < 2 before a selection it could not verify
     if "n" in cfg:
         model_n = cfg["n"]
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .orthopoly import MAX_DEGREE, PolynomialFamily
+from .orthopoly import PolynomialFamily, _check_degree, _check_w
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,7 @@ class TailBoundSpec:
     def __post_init__(self) -> None:
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise DomainError(f"tau must be a finite number > 0, got {self.tau}")
-        if not (0.0 < self.w < 1.0):
-            raise DomainError(f"w must lie strictly inside (0, 1), got {self.w}")
-
-
-def _check_order(k: int, what: str = "k") -> int:
-    if not isinstance(k, (int, np.integer)) or k < 0 or k > MAX_DEGREE:
-        raise DomainError(f"{what} must be an integer in [0, {MAX_DEGREE}], got {k!r}")
-    return int(k)
+        _check_w(self.w)
 
 
 def tau_bound(family: PolynomialFamily, tb: TailBoundSpec, k: int) -> float:
@@ -61,7 +54,7 @@ def tau_bound(family: PolynomialFamily, tb: TailBoundSpec, k: int) -> float:
     Gegenbauer: sqrt(k! (k+a) / Gamma(k+2a)) tau w^k; gamma ratios run in log
     space so high orders neither overflow nor lose the small w^k factor.
     """
-    k = _check_order(k)
+    k = _check_degree(k, "k")
     geo = tb.tau * tb.w**k
     if family.kind == "legendre":
         return math.sqrt(2.0 / (2.0 * k + 1.0)) * geo
@@ -77,7 +70,7 @@ def tau_bound(family: PolynomialFamily, tb: TailBoundSpec, k: int) -> float:
 
 def tail_weights(family: PolynomialFamily, tb: TailBoundSpec, k_max: int) -> np.ndarray:
     """Vector of tau_bound(k) for k = 0..k_max."""
-    k_max = _check_order(k_max, "k_max")
+    k_max = _check_degree(k_max, "k_max")
     return np.array([tau_bound(family, tb, k) for k in range(k_max + 1)])
 
 

@@ -86,11 +86,11 @@ def gegenbauer(alpha: float) -> PolynomialFamily:
     return PolynomialFamily("gegenbauer", float(alpha))
 
 
-def _check_degree(k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"degree must be a non-negative integer, got {k!r}")
-    if k > MAX_DEGREE:
-        raise DomainError(f"degree {k} exceeds the supported maximum {MAX_DEGREE}")
+def _check_degree(k: int, what: str) -> int:
+    """k as an int, if it is an integer order in [0, MAX_DEGREE]."""
+    if not isinstance(k, (int, np.integer)) or not (0 <= k <= MAX_DEGREE):
+        raise DomainError(f"{what} must be an integer in [0, {MAX_DEGREE}], got {k!r}")
+    return int(k)
 
 
 def _check_points(family: PolynomialFamily, t: np.ndarray) -> None:
@@ -138,7 +138,7 @@ def legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     P_{j+1} = x P_j + (j/(j + 1)) (x P_j - P_{j-1}), so each step allocates
     nothing.
     """
-    _check_degree(n)
+    n = _check_degree(n, "n")
     x = np.asarray(x, dtype=float)
     if n == 0:
         return np.ones_like(x), np.zeros_like(x)
@@ -237,7 +237,7 @@ def _scale(family: PolynomialFamily, k: int) -> float:
 
 def orthonormal_block(family: PolynomialFamily, k_max: int, t: np.ndarray) -> np.ndarray:
     """Orthonormal functions of degree 0..k_max at points t, shape (k_max+1, n)."""
-    _check_degree(k_max)
+    k_max = _check_degree(k_max, "k_max")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     _check_points(family, t)
     factor, mask, t_safe = _half_weight(family, t, k_max)
@@ -274,7 +274,7 @@ def generating_function(family: PolynomialFamily, t, w: float):
 def partial_gf_sum(family: PolynomialFamily, t, w: float, k_max: int):
     """Truncated generating-function sum sum_{k<=k_max} p_k(t) w^k."""
     _check_w(w)
-    _check_degree(k_max)
+    k_max = _check_degree(k_max, "k_max")
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_points(family, arr)
     block = _poly_block(family, k_max, arr)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, UnknownKernelError, UnsupportedRegimeError
 from .orlicz import OrliczSpec, TailBoundSpec, tail_weights
-from .orthopoly import PolynomialFamily, orthonormal_block
+from .orthopoly import PolynomialFamily, _check_degree, orthonormal_block
 from .quadrature import QuadratureRule, _lp_norms_inplace, rule_for_family, simpson_weights
 
 # the one xi law; the config key and the report field keep its name
@@ -62,16 +62,6 @@ class Kernel:
     energy_at: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
-def _scalar_aware(f):
-    def wrapped(t):
-        arr = np.asarray(t, dtype=float)
-        out = f(arr)
-        return float(out) if arr.ndim == 0 else out
-
-    return wrapped
-
-
-@_scalar_aware
 def _exp_bounded_energy(t):
     small = np.abs(t) < 1e-12
     safe = np.where(small, 1.0, t)
@@ -101,14 +91,14 @@ _BUILTIN = {
         "exp-decay",
         (0.0, math.inf),
         lambda t, lam: _exp_outer(-(1.0 + np.asarray(t, float)), lam),
-        _scalar_aware(lambda t: 1.0 / (2.0 * (1.0 + t))),
+        lambda t: 1.0 / (2.0 * (1.0 + t)),
     ),
     "poly-bounded": Kernel(
         "poly-bounded",
         (-1.0, 1.0),
         _poly_bounded,
         # exact expansion of ((1+t)^5 - (1-t)^5)/(5t); no removable singularity
-        _scalar_aware(lambda t: 2.0 + 4.0 * t**2 + 0.4 * t**4),
+        lambda t: 2.0 + 4.0 * t**2 + 0.4 * t**4,
     ),
 }
 
@@ -158,7 +148,7 @@ class ProcessSpec:
             raise DomainError(f"p must be a finite number >= 1, got {self.p}")
         if self.kernel.domain != self.family.domain:
             raise DomainError(
-                f"kernel {self.kernel.name!r} lives on {self.kernel.domain}, "
+                f"{self.kernel.name!r} lives on {self.kernel.domain}, "
                 f"family {self.family.label} on {self.family.domain}"
             )
 
@@ -200,20 +190,19 @@ def compute_coefficients(
     toward the exact coefficient. An integer rule is shorthand for the
     family's natural rule with that many nodes.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"N must be a non-negative integer, got {n!r}")
+    n = _check_degree(n, "N")
     if isinstance(rule, (int, np.integer)):
         rule = rule_for_family(spec.family, int(rule))
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid.ndim != 1 or time_grid.size == 0 or not np.all(np.isfinite(time_grid)):
         raise DomainError("time_grid must be a non-empty 1-d array of finite reals")
-    basis = orthonormal_block(spec.family, int(n), rule.nodes)
+    basis = orthonormal_block(spec.family, n, rule.nodes)
     kernel_values = np.asarray(spec.kernel.evaluate(time_grid, rule.nodes), dtype=float)
     if kernel_values.shape != (time_grid.size, rule.nodes.size):
         raise DomainError("kernel.evaluate must return one row per time grid point")
     basis *= rule.weights
     values = np.ascontiguousarray((kernel_values @ basis.T).T)
-    return CoefficientTable(int(n), time_grid, values)
+    return CoefficientTable(n, time_grid, values)
 
 
 def synthesize_path(table: CoefficientTable | np.ndarray, xi) -> np.ndarray:
@@ -237,7 +226,15 @@ def _xi_sigma(count: int, spec: ProcessSpec) -> np.ndarray:
     instead of sigma; xi_k then has norm min(1, tau_bound(k)). The cap at 1 stays
     because the benchmark's recount (bench/workloads.check_verify) draws
     min(1, tau_bound(k)); where tau_bound(k) > 1, xi_k is milder than the envelope.
+
+    Raises:
+        UnsupportedRegimeError: if spec.orlicz.gamma < 2, where no Gaussian is
+            phi-sub-Gaussian and the certificate does not apply.
     """
+    if spec.orlicz.gamma < 2.0:
+        raise UnsupportedRegimeError(
+            f"Gaussian xi are not phi-sub-Gaussian for gamma < 2; got gamma = {spec.orlicz.gamma}"
+        )
     sigma = np.minimum(1.0, tail_weights(spec.family, spec.tail, count - 1))
     if spec.orlicz.gamma > 2.0:
         sigma *= math.sqrt(2.0 / spec.orlicz.gamma)
@@ -247,7 +244,7 @@ def _xi_sigma(count: int, spec: ProcessSpec) -> np.ndarray:
 def draw_xi(spec: ProcessSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the coefficient variables xi_0..xi_{count-1}: independent
     Gaussians with the deviations _xi_sigma gives, one standard normal per
-    order from rng."""
+    order from rng. Like _xi_sigma, refuses gamma < 2."""
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
     return rng.standard_normal(int(count)) * _xi_sigma(int(count), spec)
@@ -329,15 +326,6 @@ class VerificationReport:
         }
 
 
-def _check_xi_law(spec: ProcessSpec) -> None:
-    """Refuse a spec whose Orlicz generator the Gaussian xi law violates."""
-    if spec.orlicz.gamma < 2.0:
-        raise UnsupportedRegimeError(
-            f"verify draws Gaussian xi, which are not phi-sub-Gaussian for "
-            f"gamma < 2; got gamma = {spec.orlicz.gamma}"
-        )
-
-
 def _gate_operands(deviation: np.ndarray, w: np.ndarray, p: float):
     """(values, weights) such that _lp_norms_inplace(xi @ values, weights, p)
     is the Simpson L_p norm of the deviation xi @ deviation on the grid with
@@ -392,7 +380,6 @@ def verify_reliability(
         raise DomainError(f"delta must be a finite number > 0, got {delta}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_xi_law(spec)
     if reference_n is None:
         reference_n = 4 * int(model_n) + 32
     if reference_n < model_n:

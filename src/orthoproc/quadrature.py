@@ -66,9 +66,9 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-def _check_node_count(n: int) -> None:
+def _check_node_count(n: int, what: str) -> None:
     if not isinstance(n, (int, np.integer)) or not (1 <= n <= MAX_NODES):
-        raise DomainError(f"node count must be an integer in [1, {MAX_NODES}], got {n!r}")
+        raise DomainError(f"{what} must be an integer in [1, {MAX_NODES}], got {n!r}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -127,7 +127,7 @@ def gauss_legendre_rule(n: int) -> QuadratureRule:
     Raises:
         DomainError: if n is outside [1, MAX_NODES].
     """
-    _check_node_count(n)
+    _check_node_count(n, "node count")
     x, w = _gauss_legendre_raw(n)
     return QuadratureRule("gauss-legendre", x, w)
 
@@ -154,19 +154,15 @@ def semi_infinite_rule(n: int, singularity_power: float = 0.0) -> QuadratureRule
     Raises:
         DomainError: if n is out of range or singularity_power <= -1.
     """
-    _check_node_count(n)
+    _check_node_count(n, "node count")
     m = _power_map_order(singularity_power)
     x, w = _gauss_legendre_raw(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     q = u / (1.0 - u)
     jac = 1.0 / (1.0 - u) ** 2
-    if m == 1:
-        lam = q
-        wl = wu * jac
-    else:
-        lam = q**m
-        wl = wu * jac * m * q ** (m - 1)
+    lam = q**m
+    wl = wu * jac * m * q ** (m - 1)
     return QuadratureRule("semi-infinite", lam, wl, (0.0, math.inf))
 
 
@@ -177,7 +173,7 @@ def cosine_mapped_rule(n: int) -> QuadratureRule:
     integrands carrying algebraic (1 - t^2)^e endpoint factors (embedded
     Gegenbauer weights) converge at high order where the plain rule stalls.
     """
-    _check_node_count(n)
+    _check_node_count(n, "node count")
     x, w = _gauss_legendre_raw(n)
     theta = 0.5 * (x + 1.0) * math.pi
     t = np.cos(theta)
@@ -221,27 +217,6 @@ def integrate(rule: QuadratureRule, f) -> float:
     if values.shape != rule.nodes.shape:
         raise DomainError("integrand must return one value per node")
     return float(np.dot(rule.weights, values))
-
-
-def lp_norm(values_on_grid: np.ndarray, grid: np.ndarray, p: float) -> float | np.ndarray:
-    """L_p norm of grid samples over [grid[0], grid[-1]], composite Simpson.
-
-    The norm is taken along the trailing axis, so a stack of sampled
-    functions (one per row) gives an array of norms; a single 1-d sample
-    gives a float.
-
-    Raises:
-        DomainError: if p < 1, the trailing length differs from the grid's,
-            or the grid fails the Simpson shape requirements.
-    """
-    if not (p >= 1.0):
-        raise DomainError(f"lp_norm requires p >= 1, got {p}")
-    values = np.array(values_on_grid, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    if values.shape[-1:] != grid.shape:
-        raise DomainError("values and grid must have matching length")
-    norms = _lp_norms_inplace(values, simpson_weights(grid), p)
-    return float(norms) if values.ndim == 1 else norms
 
 
 def _lp_norms_inplace(values: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:

@@ -270,6 +270,29 @@ def test_verify_refuses_gamma_below_two(tmp_path, capsys):
     assert code == 0
 
 
+def test_simulate_refuses_gamma_below_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, n=1, paths=20, time_grid_points=9)
+    code, out = run(tmp_path, "simulate", cfg, "--set", "gamma=1.5")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gamma < 2" in err and "1.5" in err
+    assert not (out / "paths.csv").exists()
+    assert list(tmp_path.rglob(".paths.csv.*")) == []
+    code, out = run(tmp_path, "simulate", cfg, "--set", "gamma=2", sub="gaussian")
+    assert code == 0 and (out / "paths.csv").is_file()
+
+
+def test_kernel_family_domain_mismatch_exits_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, n=1, kernel="exp-decay")
+    code, out = run(tmp_path, "bound", cfg)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: kernel: 'exp-decay' lives on (0.0, inf), "
+        "family legendre on (-1.0, 1.0)\n"
+    )
+    assert not out.exists()
+
+
 def test_unit_variance_xi_mode_is_refused(tmp_path, capsys):
     cfg = write_cfg(tmp_path, n=1, paths=20, xi_mode="unit-variance")
     code, out = run(tmp_path, "verify", cfg)

@@ -27,7 +27,6 @@ from orthoproc import (
     kernel_names,
     laguerre,
     legendre,
-    lp_norm,
     path_rng,
     rule_for_family,
     semi_infinite_rule,
@@ -43,6 +42,11 @@ from orthoproc.quadrature import _lp_norms_inplace
 
 EPS = np.finfo(float).eps
 TB = TailBoundSpec(1.0, 0.5)
+
+
+def simpson_norm(x, grid, p):
+    # the L_p norm along the trailing axis, independent of the engine's own
+    return (np.abs(x) ** p @ simpson_weights(grid)) ** (1.0 / p)
 
 
 def legendre_spec(kernel="exp-bounded", p=2.0, horizon=1.0):
@@ -64,10 +68,10 @@ def test_kernel_registry():
 
 
 def test_energy_spot_values():
-    assert builtin_kernel("exp-bounded").energy_at(1.0) == pytest.approx(
-        math.sinh(2.0), rel=1e-14
-    )
-    assert builtin_kernel("exp-bounded").energy_at(0.0) == 2.0
+    # a 0-d time gives a 0-d energy
+    at_one = builtin_kernel("exp-bounded").energy_at(np.float64(1.0))
+    assert np.shape(at_one) == () and at_one == pytest.approx(math.sinh(2.0), rel=1e-14)
+    assert builtin_kernel("exp-bounded").energy_at(np.float64(0.0)) == 2.0
     assert builtin_kernel("exp-decay").energy_at(0.0) == 0.5
     assert builtin_kernel("exp-decay").energy_at(1.0) == 0.25
     assert builtin_kernel("poly-bounded").energy_at(0.0) == 2.0
@@ -183,6 +187,9 @@ def test_draw_xi_modes():
     assert sigma[0] == 1.0  # min(1, sqrt(2)) caps at 1
     with pytest.raises(DomainError):
         draw_xi(legendre_spec(), 0, path_rng(42, 0))
+    # a Gaussian is not phi-sub-Gaussian for gamma < 2
+    with pytest.raises(UnsupportedRegimeError, match="gamma < 2"):
+        draw_xi(replace(legendre_spec(), orlicz=OrliczSpec(1.5)), 5, path_rng(42, 0))
 
 
 def _phi_inverse(y, gamma):
@@ -296,14 +303,14 @@ def _check_engine_against_loop(out_dir):
     for i in range(paths):
         xi = draw_xi(spec, reference.n + 1, path_rng(seed, i))
         diff = synthesize_path(reference, xi) - synthesize_path(model, xi[:2])
-        ref_norms[i] = lp_norm(diff, grid, spec.p)
+        ref_norms[i] = simpson_norm(diff, grid, spec.p)
         bound = _deviation_error(xi, model, reference) + 2.0 * EPS * np.abs(diff)
         # the power, the Simpson sum over G points and the root add at most
         # (G + 4) eps relative on each side
-        tol[i] = lp_norm(bound, grid, spec.p) + 2.0 * (grid.size + 4) * EPS * ref_norms[i]
+        tol[i] = simpson_norm(bound, grid, spec.p) + 2.0 * (grid.size + 4) * EPS * ref_norms[i]
     chunks = list(_path_chunks(spec, deviation, paths, seed))
     assert [len(chunk) for chunk in chunks] == [_CHUNK_PATHS, _CHUNK_PATHS, 3]
-    norms = np.concatenate([lp_norm(chunk, grid, spec.p) for chunk in chunks])
+    norms = np.concatenate([simpson_norm(chunk, grid, spec.p) for chunk in chunks])
     assert np.all(np.abs(norms - ref_norms) <= tol)
 
     delta = float(np.median(ref_norms))
@@ -552,7 +559,7 @@ def test_p2_factor_norm_matches_grid_norm(name, xi_mode):
         return np.concatenate([norm(chunk) for chunk in chunks])
 
     factor = engine_norms(values, lambda chunk: _lp_norms_inplace(chunk, weights, 2.0))
-    on_grid = engine_norms(deviation, lambda chunk: lp_norm(chunk, grid, 2.0))
+    on_grid = engine_norms(deviation, lambda chunk: simpson_norm(chunk, grid, 2.0))
     xi_norms = engine_norms(np.eye(count), lambda chunk: np.linalg.norm(chunk, axis=1))
     # With A = D diag(sqrt(w)), Householder QR returns the exact R of
     # A^T + E with |E|_F <= c G (K + 1) eps |A|_F for a small constant c
@@ -584,7 +591,7 @@ def test_other_p_gate_the_grid_norm(p):
     values, weights = process._gate_operands(deviation, w, p)
     assert values is deviation and weights is w
     chunks = _path_chunks(spec, deviation, paths, seed)
-    norms = np.concatenate([lp_norm(chunk, grid, p) for chunk in chunks])
+    norms = np.concatenate([simpson_norm(chunk, grid, p) for chunk in chunks])
     delta = float(np.median(norms))
     report = verify_reliability(spec, 1, delta, 0.5, paths=paths, seed=seed)
     assert report.exceedances == int(np.sum(norms > delta))

@@ -21,7 +21,6 @@ from orthoproc import (
     integrate,
     laguerre,
     legendre,
-    lp_norm,
     rule_for_family,
     select_N,
     semi_infinite_rule,
@@ -229,26 +228,19 @@ def test_simpson_weights_shape_errors():
 
 def test_lp_norm_constant():
     grid = np.linspace(0.0, 2.0, 9)
-    assert lp_norm(np.ones(9), grid, 3.0) == pytest.approx(2.0 ** (1 / 3), rel=1e-14)
+    w = simpson_weights(grid)
+    norm = quadrature._lp_norms_inplace(np.ones(9), w, 3.0)
+    assert norm == pytest.approx(2.0 ** (1 / 3), rel=1e-14)
     # a row-stack gives one norm per row
-    stacked = lp_norm(np.array([np.ones(9), 2.0 * np.ones(9)]), grid, 3.0)
+    stacked = quadrature._lp_norms_inplace(np.array([np.ones(9), 2.0 * np.ones(9)]), w, 3.0)
     np.testing.assert_allclose(stacked, [2.0 ** (1 / 3), 2.0 ** (4 / 3)], rtol=1e-14)
 
 
 def test_lp_norm_linear():
     grid = np.linspace(0.0, 1.0, 257)
     # Simpson is exact for t^2, so the norm is exactly 1/sqrt(3)
-    assert lp_norm(grid.copy(), grid, 2.0) == pytest.approx(1 / math.sqrt(3), rel=1e-14)
-
-
-def test_lp_norm_validation():
-    grid = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(DomainError):
-        lp_norm(np.ones(5), grid, 0.5)
-    with pytest.raises(DomainError):
-        lp_norm(np.ones(4), grid, 2.0)
-    with pytest.raises(DomainError):
-        lp_norm(np.ones((3, 4)), grid, 2.0)
+    norm = quadrature._lp_norms_inplace(grid.copy(), simpson_weights(grid), 2.0)
+    assert norm == pytest.approx(1 / math.sqrt(3), rel=1e-14)
 
 
 def test_adaptive_simpson():
