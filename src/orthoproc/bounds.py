@@ -24,7 +24,9 @@ n_max, resolution, override) and repeated queries on one spec reuse it.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -171,6 +173,18 @@ class BoundReport:
         }
 
 
+def _gate(c_n: float, thr_rel: float, thr_acc: float) -> tuple[bool, bool]:
+    """(pass_rel, pass_acc); both also pass for every smaller C_N."""
+    return c_n <= thr_rel, c_n < thr_acc
+
+
+def _bound_report(family, n, c_n, clamped, thr_rel, thr_acc, gf, oracle) -> BoundReport:
+    pass_rel, pass_acc = _gate(c_n, thr_rel, thr_acc)  # numpy bools for a numpy delta
+    return BoundReport(
+        family, n, c_n, thr_rel, thr_acc, bool(pass_rel), bool(pass_acc), clamped, gf, oracle
+    )
+
+
 @dataclass(frozen=True)
 class CNCurve:
     """C_N for every order N = 0..n_max, with the shared gate thresholds.
@@ -193,19 +207,10 @@ class CNCurve:
 
     def __getitem__(self, n: int) -> BoundReport:
         n = range(len(self))[n]
-        c_n = float(self.c_n[n])
-        return BoundReport(
-            family=self.family,
-            n=n,
-            c_n=c_n,
-            threshold_rel=self.threshold_rel,
-            threshold_acc=self.threshold_acc,
-            pass_rel=bool(c_n <= self.threshold_rel),
-            pass_acc=bool(c_n < self.threshold_acc),
-            clamped_fraction=float(self.clamped_fraction[n]),
-            gf_integral_value=self.gf_integral_value,
-            gf_integral_oracle=self.gf_integral_oracle,
-        )
+        c_n, clamped_fraction = float(self.c_n[n]), float(self.clamped_fraction[n])
+        thresholds = self.threshold_rel, self.threshold_acc
+        gf = self.gf_integral_value, self.gf_integral_oracle
+        return _bound_report(self.family, n, c_n, clamped_fraction, *thresholds, *gf)
 
 
 def c_n_curve(
@@ -254,7 +259,7 @@ def c_n_curve(
             )
         override_bytes = tw.tobytes()
 
-    c_n, clamped_fraction, gf_value, gf_oracle = _curve_arrays(
+    c_n, clamped_fraction, gf_value, gf_oracle, _, _ = _curve_arrays(
         spec, n_max, resolution, override_bytes
     )
     return CNCurve(
@@ -271,10 +276,11 @@ def c_n_curve(
 @functools.lru_cache(maxsize=64)
 def _curve_arrays(
     spec: ProcessSpec, n_max: int, resolution: Resolution, override_bytes: bytes | None
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The (delta, alpha)-free part of c_n_curve: C_N, clamped fractions, gf values.
+) -> tuple[np.ndarray, np.ndarray, float, float, tuple[float, ...], tuple[int, ...]]:
+    """The (delta, alpha)-free part of c_n_curve: C_N, clamped fractions, gf
+    values, and for select_N the _running_min pair as plain floats and ints.
 
-    Cached per process (64 entries of 2 (n_max+1) floats each); the arrays
+    Cached per process (64 entries of 4 (n_max+1) numbers each); the arrays
     are read-only because every caller gets the same pair. override_bytes is
     the float64 override vector as bytes, or None for the family's weights.
     """
@@ -307,7 +313,22 @@ def _curve_arrays(
     clamped_fraction = np.mean(brackets < 0.0, axis=1)
     c_n.setflags(write=False)
     clamped_fraction.setflags(write=False)
-    return c_n, clamped_fraction, gf_value, gf_oracle
+    return c_n, clamped_fraction, gf_value, gf_oracle, *_running_min(c_n.tolist())
+
+
+def _running_min(c_n: list[float]) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """min(C_0..C_n) and the first order reaching it, for every n."""
+    firsts = tuple(itertools.accumulate(range(len(c_n)), lambda b, n: n if c_n[n] < c_n[b] else b))
+    return tuple(c_n[n] for n in firsts), firsts
+
+
+def _select_order(running_min, first_argmin, thr_rel, thr_acc) -> tuple[int | None, int, float]:
+    """(first passing order or None, best_n, best_c_n): along the running minimum
+    the gate reads False..False, True..True and first passes where C_N does."""
+    stop = bisect.bisect_left(running_min, True, key=lambda c: all(_gate(c, thr_rel, thr_acc)))
+    if stop == len(running_min):
+        return None, first_argmin[-1], running_min[-1]
+    return stop, stop, running_min[stop]
 
 
 def c_n_bound(
@@ -337,7 +358,7 @@ def c_n_bound(
 
 def check_conditions(report: BoundReport) -> bool:
     """True iff C_N <= threshold_rel and C_N < threshold_acc."""
-    return report.pass_rel and report.pass_acc
+    return all(_gate(report.c_n, report.threshold_rel, report.threshold_acc))
 
 
 @dataclass(frozen=True)
@@ -364,18 +385,18 @@ def select_N(
 ) -> SelectionResult:
     """Smallest truncation order in [0, n_max] meeting both gate conditions.
 
-    One c_n_curve evaluation gives C_0..C_{n_max}; the result is the first
-    passing order. C_N is not assumed monotone in N (retained coefficients
-    enter the bracket with a minus sign), so no order is skipped; best_n is
-    the first argmin of C_N up to the selected order, or over all orders
-    when none passes.
+    Reads the c_n_curve of (spec, n_max, resolution). C_N is not assumed
+    monotone in N (retained coefficients enter the bracket with a minus
+    sign), so the first passing order is found by bisecting the running
+    minimum of C_N; best_n is the first argmin of C_N up to the selected
+    order, or over all orders when none passes.
     """
-    curve = c_n_curve(spec, n_max, delta, alpha, resolution=resolution)
-    c_n = curve.c_n
-    passing = np.flatnonzero((c_n <= curve.threshold_rel) & (c_n < curve.threshold_acc))
-    stop = int(passing[0]) if passing.size else n_max
-    best_n = int(np.argmin(c_n[: stop + 1]))
-    best_c_n = float(c_n[best_n])
-    if passing.size:
-        return SelectionResult(stop, curve[stop], best_n, best_c_n)
-    return SelectionResult(None, None, best_n, best_c_n)
+    n_max = _check_degree(n_max, "n_max")
+    thr_rel = threshold_reliability(delta, alpha, spec.orlicz, spec.p)
+    thr_acc = threshold_accuracy(delta, spec.p, spec.orlicz)
+    _, clamped, *gf, running_min, first_argmin = _curve_arrays(spec, n_max, resolution, None)
+    n, best_n, best_c_n = _select_order(running_min, first_argmin, thr_rel, thr_acc)
+    if n is None:
+        return SelectionResult(None, None, best_n, best_c_n)
+    report = _bound_report(spec.family, n, best_c_n, float(clamped[n]), thr_rel, thr_acc, *gf)
+    return SelectionResult(n, report, best_n, best_c_n)

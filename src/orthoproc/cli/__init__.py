@@ -113,8 +113,8 @@ _VALIDATORS = {
     "w": lambda k, v: _want_number(k, v, gt=0.0, lt=1.0),
     "delta": lambda k, v: _want_number(k, v, gt=0.0),
     "alpha": lambda k, v: _want_number(k, v, gt=0.0, lt=1.0),
-    "n": lambda k, v: _want_int(k, v, 0),
-    "n_max": lambda k, v: _want_int(k, v, 0),
+    "n": lambda k, v: _want_int(k, v, 0, MAX_DEGREE),
+    "n_max": lambda k, v: _want_int(k, v, 0, MAX_DEGREE),
     "paths": lambda k, v: _want_int(k, v, 1),
     "seed": lambda k, v: _want_int(k, v, 0, 2**64 - 1),
     "xi_mode": lambda k, v: _want_choice(k, v, XI_MODES),
@@ -122,7 +122,7 @@ _VALIDATORS = {
     "reference_spectral_nodes": lambda k, v: _want_int(k, v, 1, MAX_NODES),
     "time_grid_points": _want_odd,
     "oracle_nodes": lambda k, v: _want_int(k, v, 1, MAX_NODES),
-    "reference_n": lambda k, v: _want_int(k, v, 0),
+    "reference_n": lambda k, v: _want_int(k, v, 0, MAX_DEGREE),
     "workers": lambda k, v: _want_int(k, v, 1),
     "table_k_max": lambda k, v: _want_int(k, v, 0, MAX_DEGREE),
     "table_points": lambda k, v: _want_int(k, v, 2),
@@ -324,6 +324,9 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         if result.selected_n is None:
             return 2
         model_n = result.selected_n
+    reference_n = cfg.get("reference_n", 4 * model_n + 32)
+    if reference_n > MAX_DEGREE:  # only the default can be: the key is range-checked
+        raise ConfigError(f"n: reference order 4n + 32 must be <= {MAX_DEGREE}, got {reference_n}")
     report = verify_reliability(
         spec,
         model_n,
@@ -331,7 +334,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         cfg["alpha"],
         paths=cfg["paths"],
         seed=cfg["seed"],
-        reference_n=cfg.get("reference_n"),
+        reference_n=reference_n,
         model_nodes=cfg["spectral_nodes"],
         reference_nodes=cfg["reference_spectral_nodes"],
         time_grid_points=cfg["time_grid_points"],

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, UnknownKernelError, UnsupportedRegimeError
-from .orlicz import OrliczSpec, TailBoundSpec, tail_weights
+from .orlicz import OrliczSpec, TailBoundSpec, tail_weights, threshold_reliability
 from .orthopoly import PolynomialFamily, _check_degree, orthonormal_block
 from .quadrature import QuadratureRule, _lp_norms_inplace, rule_for_family, simpson_weights
 
@@ -289,12 +289,14 @@ def _path_chunks(spec: ProcessSpec, values: np.ndarray, paths: int, seed: int):
         "uinteger": 0,
     }
     xi = np.empty((min(paths, _CHUNK_PATHS), count))
+    xi_rows = list(xi)  # the row views, made once per run
+    draw = rng.standard_normal
     for start in range(0, paths, _CHUNK_PATHS):
         rows = xi[: min(_CHUNK_PATHS, paths - start)]
-        for i, row in enumerate(rows, start):
+        for i, row in zip(range(start, start + len(rows)), xi_rows):
             key[1] = i
             bit_generator.state = fresh
-            rng.standard_normal(out=row)
+            draw(out=row)
         rows *= sigma
         yield synthesize_path(values, rows)
 
@@ -376,10 +378,7 @@ def verify_reliability(
     """
     if not isinstance(paths, (int, np.integer)) or paths < 1:
         raise DomainError(f"paths must be a positive integer, got {paths!r}")
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise DomainError(f"delta must be a finite number > 0, got {delta}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    threshold_reliability(delta, alpha, spec.orlicz, spec.p)  # the certificate's delta, alpha rules
     if reference_n is None:
         reference_n = 4 * int(model_n) + 32
     if reference_n < model_n:

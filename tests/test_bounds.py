@@ -335,18 +335,18 @@ CURVE_FIXTURES = (
     ("exp-decay", laguerre(0.5)),
     ("exp-bounded", gegenbauer(1.5)),
 )
+CURVE_EXTRAS = (
+    ("poly-bounded", legendre()),
+    ("exp-decay", laguerre(0.0)),
+    ("exp-bounded", gegenbauer(1.0)),
+)
 
 
 @pytest.mark.parametrize("w", (0.3, 0.5, 0.8))
 @pytest.mark.parametrize(
     "kernel_name,family",
     # with the fixtures, the kernel and family pairs of the benchmark's curves
-    CURVE_FIXTURES
-    + (
-        ("poly-bounded", legendre()),
-        ("exp-decay", laguerre(0.0)),
-        ("exp-bounded", gegenbauer(1.0)),
-    ),
+    CURVE_FIXTURES + CURVE_EXTRAS,
 )
 def test_c_n_curve_matches_per_order_bound(kernel_name, family, w):
     # OpenBLAS gives coefficient tables of at most 4 rows other last bits (up
@@ -398,9 +398,12 @@ def brute_force_select(spec, delta, alpha, n_max):
     ),
 )
 def test_select_n_matches_brute_force_scan(kernel_name, family, delta, n_max):
-    spec = make_spec(kernel_name, family)
-    result = select_N(spec, delta, 0.05, n_max)
-    selected, best_n, best_c_n = brute_force_select(spec, delta, 0.05, n_max)
+    assert_select_n_matches_brute_force(make_spec(kernel_name, family), delta, 0.05, n_max)
+
+
+def assert_select_n_matches_brute_force(spec, delta, alpha, n_max):
+    result = select_N(spec, delta, alpha, n_max)
+    selected, best_n, best_c_n = brute_force_select(spec, delta, alpha, n_max)
     assert result.selected_n == selected
     assert result.best_n == best_n
     assert result.best_c_n == best_c_n
@@ -408,6 +411,25 @@ def test_select_n_matches_brute_force_scan(kernel_name, family, delta, n_max):
         assert result.report is None
     else:
         assert result.report.n == selected and check_conditions(result.report)
+        assert result.report == c_n_bound(spec, selected, delta, alpha)
+
+
+@pytest.mark.parametrize("w", (0.3, 0.5, 0.8))
+@pytest.mark.parametrize("kernel_name,family", CURVE_FIXTURES + CURVE_EXTRAS)
+def test_select_n_matches_brute_force_scan_at_curve_thresholds(kernel_name, family, w):
+    # delta puts the binding threshold just below, at and just above C_0, C_1
+    # and the floor of the curve; at alpha = 0.9 the accuracy threshold binds
+    spec = make_spec(kernel_name, family, tb=TailBoundSpec(1.0, w))
+    c_n = c_n_curve(spec, 32, 0.1, 0.05).c_n
+    for alpha in (0.05, 0.9):
+        per_delta = min(
+            threshold_reliability(1.0, alpha, spec.orlicz, spec.p),
+            threshold_accuracy(1.0, spec.p, spec.orlicz),
+        )
+        for target in (c_n[0], c_n[1], c_n.min()):
+            for factor in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
+                delta = float(target) * factor / per_delta
+                assert_select_n_matches_brute_force(spec, delta, alpha, 32)
 
 
 def test_tail_weight_override_through_c_n_bound():
@@ -439,15 +461,25 @@ def test_cached_curve_is_bit_identical(kernel_name, family, nodes, override):
     res = Resolution(spectral_nodes=nodes, oracle_nodes=nodes)
     tw = np.linspace(1.0, 0.1, 9) if override else None
     kwargs = dict(resolution=res, tail_weight_override=tw)
+    override_bytes = None if tw is None else tw.tobytes()
     # the undecorated body is the uncached reference
-    ref_c_n, ref_clamped, ref_gf, ref_oracle = bounds._curve_arrays.__wrapped__(
-        spec, 8, res, None if tw is None else tw.tobytes()
-    )
+    ref = bounds._curve_arrays.__wrapped__(spec, 8, res, override_bytes)
+    ref_c_n, ref_clamped, ref_gf, ref_oracle, ref_running_min, ref_first_argmin = ref
+    # select_N's bisection reads the running minimum and the first order that
+    # reaches it, as plain floats and ints
+    assert ref_running_min == tuple(np.minimum.accumulate(ref_c_n).tolist())
+    assert ref_first_argmin == tuple(int(np.argmin(ref_c_n[: n + 1])) for n in range(9))
+    assert all(type(c) is float for c in ref_running_min)
+    assert all(type(n) is int for n in ref_first_argmin)
     bounds._curve_arrays.cache_clear()
     cold = c_n_curve(spec, 8, 0.1, 0.05, **kwargs)
     hit = c_n_curve(spec, 8, 0.1, 0.05, **kwargs)
     other = c_n_curve(spec, 8, 0.7, 0.2, **kwargs)
     assert bounds._curve_arrays.cache_info().misses == 1
+    assert bounds._curve_arrays(spec, 8, res, override_bytes)[4:] == (
+        ref_running_min,
+        ref_first_argmin,
+    )
     for curve in (cold, hit, other):
         assert np.array_equal(curve.c_n, ref_c_n)
         assert np.array_equal(curve.clamped_fraction, ref_clamped)
@@ -506,6 +538,60 @@ def test_cached_curve_arrays_are_read_only():
         curve.c_n[0] = 0.0
     with pytest.raises(ValueError):
         curve.clamped_fraction[0] = 0.0
+
+
+def test_cached_select_n_builds_no_curve_or_table(monkeypatch):
+    spec = make_spec("exp-bounded", legendre())
+    warm = select_N(spec, 0.018, 0.05, 8)
+    built = []
+    curve_class, build = bounds.CNCurve, bounds.compute_coefficients
+
+    def counting_curve(*args, **kwargs):
+        built.append("curve")
+        return curve_class(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        built.append("table")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "CNCurve", counting_curve)
+    monkeypatch.setattr(bounds, "compute_coefficients", counting_build)
+    assert select_N(spec, 0.018, 0.05, 8) == warm
+    for delta in (1e-12, 0.018, 1e6):
+        select_N(spec, delta, 0.05, 8)
+    assert built == []
+    c_n_curve(spec, 8, 0.018, 0.05)  # the patches see what they count
+    assert built == ["curve"]
+
+
+def test_select_order_matches_linear_scan():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        # few distinct values, so the lists rise, fall and repeat them, and
+        # thresholds drawn from them make C_N equal a threshold exactly
+        values = draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=5))
+        c_n = draw(st.lists(st.sampled_from(values), min_size=1, max_size=16))
+        pool = st.sampled_from(values) | st.floats(0.0, 4.0)
+        a, b = sorted((draw(pool), draw(pool)))
+        acc_vs_rel = draw(st.sampled_from(("below", "equal", "above")))
+        thr_rel, thr_acc = {"below": (b, a), "equal": (a, a), "above": (a, b)}[acc_vs_rel]
+        return c_n, thr_rel, thr_acc
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        c_n, thr_rel, thr_acc = case
+        passing = [n for n, c in enumerate(c_n) if c <= thr_rel and c < thr_acc]
+        scanned = c_n[: passing[0] + 1] if passing else c_n
+        best_n = scanned.index(min(scanned))
+        expected = (passing[0] if passing else None, best_n, c_n[best_n])
+        got = bounds._select_order(*bounds._running_min(c_n), thr_rel, thr_acc)
+        assert got == expected
+
+    check()
 
 
 def test_curve_cache_keeps_every_error(curve_work):

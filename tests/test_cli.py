@@ -475,3 +475,33 @@ def test_bad_invocations(capsys):
     assert main([]) == 1
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        (
+            "verify",
+            ("--n", "2500"),
+            "n: reference order 4n + 32 must be <= 10000, got 10032",
+        ),
+        (
+            "verify",
+            ("--n", "3", "--set", "reference_n=20000"),
+            "reference_n: must be <= 10000, got 20000",
+        ),
+        ("select-n", ("--n-max", "20000"), "n_max: must be <= 10000, got 20000"),
+    ],
+)
+def test_orders_above_max_degree_are_config_errors(
+    tmp_path, capsys, monkeypatch, command, extra, message
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an order was refused only after work began")
+
+    monkeypatch.setattr(cli, "verify_reliability", no_work)
+    monkeypatch.setattr(cli, "select_N", no_work)
+    code, out = run(tmp_path, command, write_cfg(tmp_path, paths=20), *extra)
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
